@@ -23,7 +23,7 @@ from .sensitivity import (
 from .propagation import (
     FieldState, FieldTrajectory, PropagationError, constant_mismatch,
     conversion_efficiency, export_trajectory_csv, lz_linear_chirp,
-    simulate_depleted, simulate_undepleted,
+    simulate_depleted, simulate_undepleted, undepleted_efficiencies,
 )
 from .experiments import (
     LAB_FRAME_COUPLING, CrystalDesign, LengthSweeps, SweepResult,

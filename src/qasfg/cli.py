@@ -55,7 +55,6 @@ DEFAULT_CONFIG = {
         "signal": {"ratio_min": 0.01, "ratio_max": 1.0, "samples": 41},
     },
     "output": {"dir": "qasfg_out"},
-    "workers": 1,
 }
 
 SWEEP_NAMES = ("bandwidth", "period", "pump", "length", "signal", "kappa-trace")
@@ -67,6 +66,16 @@ class ConfigError(ValueError):
 
 USER_ERRORS = (ConfigError, TrajectoryError, MaterialError, PropagationError,
                ValueError, FileNotFoundError)
+
+
+def _type_ok(value, ref):
+    """JSON type check against a default or example value ref: booleans and
+    integers only where those are expected, any number for a float or null."""
+    if isinstance(ref, bool) or isinstance(value, bool):
+        return type(value) is type(ref)
+    if ref is None or isinstance(ref, float):
+        return (value is None and ref is None) or isinstance(value, (int, float))
+    return isinstance(value, type(ref))
 
 
 def _merge_validate(user, default, path=""):
@@ -81,15 +90,7 @@ def _merge_validate(user, default, path=""):
         if isinstance(default[key], dict):
             merged[key] = _merge_validate(value, default[key], here)
         else:
-            ref = default[key]
-            if ref is None or isinstance(ref, bool):
-                ok = isinstance(value, bool) if isinstance(ref, bool) \
-                    else (value is None or isinstance(value, (int, float)))
-            elif isinstance(ref, (int, float)):
-                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            else:
-                ok = isinstance(value, str)
-            if not ok:
+            if not _type_ok(value, default[key]):
                 raise ConfigError(f"bad type for config key {here}: {value!r}")
             merged[key] = value
     return merged
@@ -139,27 +140,15 @@ def _design_kwargs(cfg):
         search = (d["kappa_min_per_cm"] * 100.0, d["kappa_max_per_cm"] * 100.0)
     return dict(length=d["L_mm"] * 1e-3, target=d["target"], model=model,
                 nonlinear=nl, lam1=d["lambda1_um"] * 1e-6,
-                lam2=d["lambda2_um"] * 1e-6, grid_n=int(d["grid_N"]),
+                lam2=d["lambda2_um"] * 1e-6, grid_n=d["grid_N"],
                 eps0=eps0), search
 
 
 def _check_steps_config(cfg):
-    steps = int(cfg["simulation"]["steps"])
+    steps = cfg["simulation"]["steps"]
     if steps <= 0:
         raise ConfigError(f"simulation.steps must be positive, got {steps}")
     return steps
-
-
-def _resolve_workers(args, cfg):
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("QASFG_WORKERS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"QASFG_WORKERS must be an integer, got {env!r}")
-    return int(cfg["workers"])
 
 
 def _headers(cfg_hash):
@@ -199,14 +188,24 @@ def _design_payload(design):
     }
 
 
-def _design_from_file(path, grid_n_override=None):
+# The fields a design file must carry, each with an example value of its type.
+DESIGN_FIELDS = {"kappa_rad_per_m": 0.0, "L_mm": 0.0, "target": "", "grid_N": 0,
+                 "lambda1_um": 0.0, "lambda2_um": 0.0, "material": {},
+                 "material.dispersion_set": "", "material.temperature_C": 0.0,
+                 "material.chi2_m_per_V": 0.0, "material.duty_cycle": 0.0,
+                 "material.eps0_F_per_m": 0.0}
+
+
+def _design_from_file(path):
     with open(path) as fh:
         data = json.load(fh)
-    required = ("kappa_rad_per_m", "L_mm", "target", "grid_N", "lambda1_um",
-                "lambda2_um", "material")
-    missing = [k for k in required if k not in data]
-    if missing:
-        raise ConfigError(f"design file {path} is missing keys: {missing}")
+    for key, ref in DESIGN_FIELDS.items():
+        parent, _, name = key.rpartition(".")
+        block = data[parent] if parent else data
+        if not isinstance(block, dict) or name not in block:
+            raise ConfigError(f"design file {path} lacks the key {key}")
+        if not _type_ok(block[name], ref):
+            raise ConfigError(f"bad type for design file key {key}: {block[name]!r}")
     mat = data["material"]
     model = DispersionModel.from_name(mat["dispersion_set"], mat["temperature_C"])
     nl = NonlinearConstants(chi2=mat["chi2_m_per_V"], duty_cycle=mat["duty_cycle"])
@@ -214,7 +213,7 @@ def _design_from_file(path, grid_n_override=None):
         kappa=data["kappa_rad_per_m"], length=data["L_mm"] * 1e-3,
         target=data["target"], model=model, nonlinear=nl,
         lam1=data["lambda1_um"] * 1e-6, lam2=data["lambda2_um"] * 1e-6,
-        grid_n=grid_n_override or int(data["grid_N"]),
+        grid_n=data["grid_N"],
         eps0=mat["eps0_F_per_m"], q_value=data.get("q_value", float("nan")))
 
 
@@ -280,7 +279,6 @@ def cmd_sweep(args):
     outdir = args.out or cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
     steps = _check_steps_config(cfg)
-    workers = _resolve_workers(args, cfg)
     headers = _headers(cfg_hash)
 
     if args.name == "kappa-trace":
@@ -300,11 +298,11 @@ def cmd_sweep(args):
         kwargs, _ = _design_kwargs(cfg)
         block = cfg["sweeps"]["length"]
         lengths = np.geomspace(block["min_mm"] * 1e-3, block["max_mm"] * 1e-3,
-                               int(block["samples"]))
+                               block["samples"])
         sweeps = xp.efficiency_vs_length(
             target=kwargs["target"], lengths=lengths, model=kwargs["model"],
             nonlinear=kwargs["nonlinear"], lam1=kwargs["lam1"], lam2=kwargs["lam2"],
-            grid_n=kwargs["grid_n"], steps=steps, workers=workers)
+            grid_n=kwargs["grid_n"], steps=steps)
         with open(os.path.join(outdir, "length.csv"), "w", newline="") as fh:
             for line in headers:
                 fh.write(f"# {line}\n")
@@ -321,30 +319,24 @@ def cmd_sweep(args):
         return 0
 
     design = _obtain_design(args, cfg)
+    block = cfg["sweeps"][args.name]
     if args.name == "bandwidth":
-        block = cfg["sweeps"]["bandwidth"]
         result = xp.bandwidth_sweep(
             design, lam_min=block["lambda_min_um"] * 1e-6,
-            lam_max=block["lambda_max_um"] * 1e-6, samples=int(block["samples"]),
-            steps=steps, workers=workers)
+            lam_max=block["lambda_max_um"] * 1e-6, samples=block["samples"],
+            steps=steps)
         print(f"fwhm = {result.summary['fwhm_nm']:.1f} nm")
-    elif args.name == "period":
-        block = cfg["sweeps"]["period"]
-        result = xp.robustness_period_sweep(
-            design, rel_min=block["min_pct"] / 100.0, rel_max=block["max_pct"] / 100.0,
-            samples=int(block["samples"]), steps=steps, workers=workers)
-        print(f"eta(0) = {result.summary['eta_at_zero']:.6f}")
-    elif args.name == "pump":
-        block = cfg["sweeps"]["pump"]
-        result = xp.robustness_pump_sweep(
-            design, rel_min=block["min_pct"] / 100.0, rel_max=block["max_pct"] / 100.0,
-            samples=int(block["samples"]), steps=steps, workers=workers)
+    elif args.name in ("period", "pump"):
+        sweep = {"period": xp.robustness_period_sweep,
+                 "pump": xp.robustness_pump_sweep}[args.name]
+        result = sweep(design, rel_min=block["min_pct"] / 100.0,
+                       rel_max=block["max_pct"] / 100.0, samples=block["samples"],
+                       steps=steps)
         print(f"eta(0) = {result.summary['eta_at_zero']:.6f}")
     else:
-        block = cfg["sweeps"]["signal"]
         result = xp.signal_intensity_sweep(
             design, ratio_min=block["ratio_min"], ratio_max=block["ratio_max"],
-            samples=int(block["samples"]), steps=steps, workers=workers)
+            samples=block["samples"], steps=steps)
         print(f"eta(ratio={block['ratio_max']}) = {result.summary['eta_at_max_ratio']:.4f}")
 
     stem = args.name
@@ -383,8 +375,6 @@ def build_parser():
     def common(p, with_design=False):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for sweeps (env QASFG_WORKERS as fallback)")
         if with_design:
             p.add_argument("--design", default=None,
                            help="design.json produced by the design command")

@@ -4,8 +4,6 @@ and signal-depletion experiments, with CSV/JSON export.
 
 import csv
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +13,7 @@ from .materials import (DispersionModel, NonlinearConstants, WaveTriplet,
                         coupling_coefficient, pump_amplitude_for_kappa,
                         pump_intensity, poling_period)
 from .propagation import (FieldState, simulate_undepleted, simulate_depleted,
-                          lz_linear_chirp)
+                          undepleted_efficiencies, lz_linear_chirp, _check_steps)
 from .sensitivity import (eta_from_period_error, first_order_efficiency,
                           optimize_kappa)
 from .trajectory import (AngleProfiles, TrajectorySpec, MismatchProfile,
@@ -155,52 +153,26 @@ def simulate_design(design, steps=20000, depleted=False, signal_pump_ratio=1.0,
                                record_stride=record_stride)
 
 
-def _eta_point(task):
-    """Worker: simulate one sweep point and return its conversion efficiency."""
-    z, dk, phi, length, coupling, steps = task
-    profile = MismatchProfile(z=z, delta_k=dk, phi=phi, kappa=np.nan, length=length)
-    traj = simulate_undepleted(profile, coupling, steps=steps, record_stride=steps)
-    return traj.efficiency
-
-
-def _eta_point_depleted(task):
-    z, dk, phi, length, coupling, steps, ratio = task
-    profile = MismatchProfile(z=z, delta_k=dk, phi=phi, kappa=np.nan, length=length)
-    traj = simulate_depleted(profile, coupling, steps=steps,
-                             initial=FieldState(a1=ratio, a3=0.0, a2=1.0),
-                             record_stride=steps)
-    return traj.efficiency
-
-
-def _map_ordered(fn, tasks, workers):
-    """Evaluate tasks, preserving input order; optionally on a process pool."""
-    if workers and workers > 1:
-        ctx = multiprocessing.get_context()
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            return list(pool.map(fn, tasks, chunksize=chunk))
-    return [fn(t) for t in tasks]
-
-
 def bandwidth_sweep(design, lam_min=2.6e-6, lam_max=3.6e-6, samples=201,
                     steps=20000, workers=1):
     """Signal-wavelength acceptance of the fabricated design.
 
     The poling profile and the pump drive are frozen; each wavelength gets
     its own material mismatch offset and its own coupling rate (same pump
-    amplitude, new frequencies and indices).
+    amplitude, new frequencies and indices). Like every undepleted sweep,
+    it is solved exactly on the profile grid by undepleted_efficiencies:
+    steps is only checked per point, and workers is ignored.
     """
     z, dk0, phi0 = design.mismatch.z, design.mismatch.delta_k, design.mismatch.phi
     dkm0 = design.triplet.material_mismatch
     lams = np.linspace(lam_min, lam_max, samples)
-    tasks = []
-    for lam in lams:
-        trip = make_wave_triplet(lam, design.triplet.lam2, design.model)
-        kap = coupling_coefficient(design.pump_amplitude, trip, design.nonlinear)
-        offset = trip.material_mismatch - dkm0
-        tasks.append((z, dk0 + offset, phi0 + offset * z, design.length,
-                      LAB_FRAME_COUPLING * kap, steps))
-    etas = np.array(_map_ordered(_eta_point, tasks, workers))
+    trips = [make_wave_triplet(lam, design.triplet.lam2, design.model) for lam in lams]
+    offsets = np.array([trip.material_mismatch - dkm0 for trip in trips])
+    couplings = LAB_FRAME_COUPLING * np.array([coupling_coefficient(
+        design.pump_amplitude, trip, design.nonlinear) for trip in trips])
+    for offset, coupling in zip(offsets, couplings):
+        _check_steps(steps, coupling, dk0 + offset, design.length)
+    etas = undepleted_efficiencies(z, phi0 + offsets[:, None] * z, couplings)
     lo, hi, width, truncated = fwhm_interval(lams, etas)
     summary = {
         "peak_eta": float(etas.max()),
@@ -217,21 +189,19 @@ def robustness_period_sweep(design, rel_min=-0.20, rel_max=0.20, samples=81,
     """Uniformly scale the poling period by (1 + x) and re-simulate.
 
     The grating wavevector scales as 1/(1 + x) at every sample; the material
-    mismatch is untouched.
+    mismatch is untouched. Solved as bandwidth_sweep; workers is ignored.
     """
     if rel_min <= -1.0:
         raise ValueError("relative period error must stay above -100%")
     z, dk0, phi0 = design.mismatch.z, design.mismatch.delta_k, design.mismatch.phi
     dkm = design.triplet.material_mismatch
+    coupling = LAB_FRAME_COUPLING * design.kappa
     xs = np.linspace(rel_min, rel_max, samples)
-    tasks = []
-    for x in xs:
-        scale = 1.0 / (1.0 + x)
-        dk_eff = dkm + (dk0 - dkm) * scale
-        phi_eff = dkm * z * (1.0 - scale) + phi0 * scale
-        tasks.append((z, dk_eff, phi_eff, design.length,
-                      LAB_FRAME_COUPLING * design.kappa, steps))
-    etas = np.array(_map_ordered(_eta_point, tasks, workers))
+    scales = 1.0 / (1.0 + xs)
+    for scale in scales:
+        _check_steps(steps, coupling, dkm + (dk0 - dkm) * scale, design.length)
+    etas = undepleted_efficiencies(
+        z, dkm * z * (1.0 - scales[:, None]) + phi0 * scales[:, None], coupling)
     estimates = np.array([first_order_efficiency(
         design.angles, eta_deltak=eta_from_period_error(x, design.poling_period_m))
         for x in xs])
@@ -243,15 +213,16 @@ def robustness_period_sweep(design, rel_min=-0.20, rel_max=0.20, samples=81,
 
 def robustness_pump_sweep(design, rel_min=-0.25, rel_max=0.25, samples=81,
                           steps=20000, workers=1, thresholds=(0.99, 0.95, 0.90, 0.80)):
-    """Scale the pump intensity by (1 + x); the coupling scales as sqrt(1 + x)."""
+    """Scale the pump intensity by (1 + x); the coupling scales as sqrt(1 + x).
+    Solved as bandwidth_sweep; workers is ignored."""
     if rel_min <= -1.0:
         raise ValueError("relative intensity error must stay above -100%")
     z, dk0, phi0 = design.mismatch.z, design.mismatch.delta_k, design.mismatch.phi
     xs = np.linspace(rel_min, rel_max, samples)
-    tasks = [(z, dk0, phi0, design.length,
-              LAB_FRAME_COUPLING * design.kappa * np.sqrt(1.0 + x), steps)
-             for x in xs]
-    etas = np.array(_map_ordered(_eta_point, tasks, workers))
+    couplings = LAB_FRAME_COUPLING * design.kappa * np.sqrt(1.0 + xs)
+    for coupling in couplings:
+        _check_steps(steps, coupling, dk0, design.length)
+    etas = undepleted_efficiencies(z, np.broadcast_to(phi0, (samples, len(z))), couplings)
     estimates = np.array([first_order_efficiency(
         design.angles, eta_kappa=np.sqrt(1.0 + x) - 1.0) for x in xs])
     summary = {"tolerance_intervals": {
@@ -269,7 +240,7 @@ def efficiency_vs_length(target="deltak", lengths=None, model=DispersionModel(),
     The engineered design uses the scaling law kappa*(L) * L = const anchored
     at the reference length. The chirp baseline keeps the reference coupling
     and ramps the mismatch linearly between the reference design's endpoint
-    values over each length.
+    values over each length. Solved as bandwidth_sweep; workers is ignored.
     """
     if lengths is None:
         lengths = np.geomspace(0.2e-3, 20e-3, 25)
@@ -281,18 +252,17 @@ def efficiency_vs_length(target="deltak", lengths=None, model=DispersionModel(),
     ref_mismatch = delta_k_profile(ref_angles)
     dk_extreme = abs(ref_mismatch.delta_k[0])
 
-    qa_tasks = []
-    lz_tasks = []
-    for L in lengths:
-        kap = kl_const / L
-        mism = delta_k_profile(angle_profiles(TrajectorySpec(kap, L, grid_n)))
-        qa_tasks.append((mism.z, mism.delta_k, mism.phi, L,
-                         LAB_FRAME_COUPLING * kap, steps))
+    qa_couplings = LAB_FRAME_COUPLING * (kl_const / lengths)
+    lz_coupling = LAB_FRAME_COUPLING * ref.kappa_opt
+    qa_z, qa_phi, lz_z, lz_phi = (np.empty((len(lengths), grid_n)) for _ in range(4))
+    for i, L in enumerate(lengths):
+        mism = delta_k_profile(angle_profiles(TrajectorySpec(kl_const / L, L, grid_n)))
         chirp = lz_linear_chirp(-dk_extreme, dk_extreme, L, grid_n)
-        lz_tasks.append((chirp.z, chirp.delta_k, chirp.phi, L,
-                         LAB_FRAME_COUPLING * ref.kappa_opt, steps))
-    qa = np.array(_map_ordered(_eta_point, qa_tasks, workers))
-    lz = np.array(_map_ordered(_eta_point, lz_tasks, workers))
+        _check_steps(steps, qa_couplings[i], mism.delta_k, L)
+        _check_steps(steps, lz_coupling, chirp.delta_k, L)
+        qa_z[i], qa_phi[i], lz_z[i], lz_phi[i] = mism.z, mism.phi, chirp.z, chirp.phi
+    qa = undepleted_efficiencies(qa_z, qa_phi, qa_couplings)
+    lz = undepleted_efficiencies(lz_z, lz_phi, lz_coupling)
 
     sustained = None
     for i in range(len(lengths)):
@@ -313,14 +283,15 @@ def efficiency_vs_length(target="deltak", lengths=None, model=DispersionModel(),
 
 def signal_intensity_sweep(design, ratio_min=0.01, ratio_max=1.0, samples=41,
                            steps=20000, workers=1):
-    """Depleted-pump efficiency vs signal/pump flux-amplitude ratio."""
+    """Depleted-pump efficiency vs signal/pump flux-amplitude ratio, one RK4
+    run of simulate_depleted per point; workers is ignored."""
     if ratio_min <= 0.0:
         raise ValueError("ratio_min must be positive (zero signal has no efficiency)")
-    z, dk0, phi0 = design.mismatch.z, design.mismatch.delta_k, design.mismatch.phi
+    coupling = LAB_FRAME_COUPLING * design.kappa
     ratios = np.linspace(ratio_min, ratio_max, samples)
-    tasks = [(z, dk0, phi0, design.length, LAB_FRAME_COUPLING * design.kappa,
-              steps, r) for r in ratios]
-    etas = np.array(_map_ordered(_eta_point_depleted, tasks, workers))
+    etas = np.array([simulate_depleted(
+        design.mismatch, coupling, steps=steps, record_stride=steps,
+        initial=FieldState(a1=r, a3=0.0, a2=1.0)).efficiency for r in ratios])
     flat = ratios[etas >= 0.99]
     summary = {"eta_at_max_ratio": float(etas[-1]),
                "flat_region_max_ratio": float(flat.max()) if flat.size else 0.0}

@@ -1,9 +1,10 @@
-"""Fixed-step RK4 integrators for the coupled-wave equations.
+"""Propagators for the coupled-wave equations.
 
 Undepleted pump: the linear pair
     dA1/dz = -i kappa A3 e^{-i phi(z)},   dA3/dz = -i kappa A1 e^{+i phi(z)}
 with phi(z) the accumulated mismatch phase, evaluated by interpolating the
-profile's phi (never as dk*z, which is wrong for chirped profiles).
+profile's phi (never as dk*z, which is wrong for chirped profiles). Sweeps
+solve it exactly per profile cell; RK4 records trajectories and is the reference.
 
 Depleted pump: the photon-flux-normalized three-wave system, which conserves
 the Manley-Rowe combinations exactly and reduces to the pair above as the
@@ -19,7 +20,8 @@ from .trajectory import MismatchProfile
 
 __all__ = [
     "PropagationError", "FieldState", "FieldTrajectory",
-    "simulate_undepleted", "simulate_depleted", "conversion_efficiency",
+    "simulate_undepleted", "simulate_depleted", "undepleted_efficiencies",
+    "conversion_efficiency",
     "lz_linear_chirp", "constant_mismatch", "export_trajectory_csv",
 ]
 
@@ -73,10 +75,10 @@ def lz_linear_chirp(dk_start, dk_end, length, grid_n=4001):
     return MismatchProfile(z=z, delta_k=dk, phi=phi, kappa=np.nan, length=length)
 
 
-def _check_steps(steps, kappa, mismatch):
+def _check_steps(steps, kappa, delta_k, length):
     """Reject step counts that under-resolve the fastest phase rotation."""
-    cycles = (np.max(np.abs(mismatch.delta_k)) * mismatch.length
-              + 2.0 * abs(kappa) * mismatch.length) / (2.0 * np.pi)
+    cycles = (np.max(np.abs(delta_k)) * length
+              + 2.0 * abs(kappa) * length) / (2.0 * np.pi)
     required = int(np.ceil(10.0 * cycles))
     if steps < max(required, 10):
         raise PropagationError(
@@ -99,7 +101,7 @@ def simulate_undepleted(mismatch, kappa, steps=20000, initial=None,
     """
     if initial is None:
         initial = FieldState()
-    _check_steps(steps, kappa, mismatch)
+    _check_steps(steps, kappa, mismatch.delta_k, mismatch.length)
     if record_stride is None:
         record_stride = max(1, steps // 2000)
 
@@ -140,6 +142,43 @@ def simulate_undepleted(mismatch, kappa, steps=20000, initial=None,
                            a3=np.array(rec_a3), a2=None, efficiency=float(eta))
 
 
+_CHUNK = 16  # points per pass; peak memory ~90 bytes per cell and point
+
+
+def undepleted_efficiencies(z, phi, coupling):
+    """Exact undepleted |A3(L)|^2, A1(0) = 1, of P points: phi (P, N) on the
+    node grid z, (P, N) or (N,), at the P lab-frame pair couplings.
+
+    phi is linear between nodes, as simulate_undepleted interpolates it, so
+    the mismatch d is constant on each cell and, in the frame
+    (A1 e^{i phi/2}, A3 e^{-i phi/2}), a cell of width h is the SU(2) rotation
+    cos(W h) + i sin(W h)/W [[d/2, -kappa], [-kappa, -d/2]], W^2 = kappa^2 +
+    d^2/4 (Suchowski et al., PRA 78, 063821, 2008), held as (a, b) of
+    [[a, b], [-b*, a*]] and multiplied in a pairwise tree. A point's result
+    is bit-identical in any batch or order.
+    """
+    phi = np.atleast_2d(np.asarray(phi, dtype=float))
+    z = np.broadcast_to(np.asarray(z, dtype=float), phi.shape)
+    coupling = np.broadcast_to(np.asarray(coupling, dtype=float), phi.shape[:1])
+    eta = np.empty(phi.shape[0])
+    for s in range(0, len(eta), _CHUNK):
+        h = np.diff(z[s:s + _CHUNK], axis=1)
+        d = np.diff(phi[s:s + _CHUNK], axis=1) / h
+        k = coupling[s:s + _CHUNK, None]
+        w = np.sqrt(k * k + 0.25 * d * d)
+        wh = w * h
+        sw = np.divide(np.sin(wh), w, out=h, where=w > 0)  # -> h as W -> 0
+        a = np.cos(wh) + 0.5j * sw * d
+        b = -1j * sw * k
+        while a.shape[1] > 1:
+            n = a.shape[1] // 2 * 2  # an odd last cell is carried up a level
+            a1, b1, a2, b2 = a[:, 0:n:2], b[:, 0:n:2], a[:, 1:n:2], b[:, 1:n:2]
+            a, b = (np.concatenate([a2 * a1 - b2 * b1.conj(), a[:, n:]], axis=1),
+                    np.concatenate([a2 * b1 + b2 * a1.conj(), b[:, n:]], axis=1))
+        eta[s:s + _CHUNK] = np.abs(b[:, 0]) ** 2
+    return eta
+
+
 def simulate_depleted(mismatch, kappa, steps=20000, initial=None,
                       record_stride=None):
     """Integrate the flux-normalized three-wave system with pump depletion.
@@ -156,7 +195,7 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None,
         raise PropagationError("depleted mode needs an explicit pump amplitude a2")
     if not all(np.isfinite([abs(initial.a1), abs(initial.a2), abs(initial.a3)])):
         raise PropagationError("non-finite initial amplitudes")
-    _check_steps(steps, kappa, mismatch)
+    _check_steps(steps, kappa, mismatch.delta_k, mismatch.length)
     if record_stride is None:
         record_stride = max(1, steps // 2000)
 

@@ -144,11 +144,62 @@ def test_optimize_outputs(tmp_path):
     assert os.path.exists(os.path.join(out, "kappa_trace.csv"))
 
 
-def test_workers_env_fallback(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path)
-    monkeypatch.setenv("QASFG_WORKERS", "not-a-number")
+def test_workers_key_unknown(tmp_path, capsys):
+    # sweeps are solved in-process; the worker-pool setting is gone
+    cfg = write_config(tmp_path, {"workers": 2})
     assert main(["sweep", "period", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 2
-    monkeypatch.setenv("QASFG_WORKERS", "1")
-    assert main(["sweep", "period", "--config", cfg,
-                 "--out", str(tmp_path / "o")]) == 0
+    assert "unknown config key: workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block,key,value", [
+    ("sweeps.period", "samples", 5.9),
+    ("simulation", "steps", 4000.5),
+    ("design", "grid_N", 1001.0),
+    ("simulation", "depleted", 1),
+    ("design", "kappa_min_per_cm", True),
+])
+def test_integer_and_boolean_keys_typed(tmp_path, capsys, block, key, value):
+    cfg = json.loads(json.dumps(FAST_CONFIG))
+    node = cfg
+    for part in block.split("."):
+        node = node.setdefault(part, {})
+    node[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["sweep", "period", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{block}.{key}" in capsys.readouterr().err
+
+
+VALID_DESIGN = {
+    "kappa_rad_per_m": 7510.0, "L_mm": 1.0, "target": "deltak", "grid_N": 1001,
+    "lambda1_um": 3.0, "lambda2_um": 1.064,
+    "material": {"dispersion_set": "gayer2008_mgo_cln_e", "temperature_C": 25.0,
+                 "chi2_m_per_V": 2.5e-11, "duty_cycle": 0.5,
+                 "eps0_F_per_m": 8.85e-12},
+}
+
+
+@pytest.mark.parametrize("edit,named", [
+    ({"L_mm": "1.0"}, "L_mm"),
+    ({"grid_N": 1001.5}, "grid_N"),
+    ({"target": 1}, "target"),
+    ({"material": dict(VALID_DESIGN["material"], duty_cycle="0.5")},
+     "material.duty_cycle"),
+    ({"material": {"dispersion_set": "gayer2008_mgo_cln_e"}},
+     "material.temperature_C"),
+    ({"material": []}, "material"),
+])
+def test_design_file_fields_typed(tmp_path, capsys, edit, named):
+    cfg = write_config(tmp_path)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(VALID_DESIGN))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--design", str(good)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(VALID_DESIGN, **edit)))
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--design", str(bad)]) == 2
+    assert named in capsys.readouterr().err

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qasfg.propagation import (
-    FieldState, FieldTrajectory, PropagationError, constant_mismatch,
+    _CHUNK, FieldState, FieldTrajectory, PropagationError, constant_mismatch,
     conversion_efficiency, export_trajectory_csv, lz_linear_chirp,
-    simulate_depleted, simulate_undepleted,
+    simulate_depleted, simulate_undepleted, undepleted_efficiencies,
 )
 from qasfg.trajectory import TrajectorySpec, angle_profiles, delta_k_profile
 
@@ -111,6 +111,67 @@ def test_agrees_with_independent_integrator(design_dk):
     traj = simulate_undepleted(m, kappa, steps=20000)
     assert abs(traj.a1[-1] - a1_ref) < 1e-7
     assert abs(traj.a3[-1] - a3_ref) < 1e-7
+
+
+@pytest.mark.parametrize("case", ["constant", "chirp", "designed"])
+def test_exact_propagator_matches_rk4(case, design_dk):
+    # RK4 at 40000 steps is converged far below the 1e-10 bound on all three
+    profile, coupling = {
+        "constant": (constant_mismatch(5000.0, L), 3000.0),
+        "chirp": (lz_linear_chirp(-2e4, 2e4, L), 4000.0),
+        "designed": (design_dk.mismatch, 0.5 * design_dk.kappa),
+    }[case]
+    exact = undepleted_efficiencies(profile.z, profile.phi, coupling)
+    rk4 = simulate_undepleted(profile, coupling, steps=40000, record_stride=40000)
+    assert exact.shape == (1,)
+    assert abs(exact[0] - rk4.efficiency) <= 1e-10
+
+
+def test_exact_propagator_batch_independent(design_dk):
+    # a point's eta is the same to the bit alone, in any order, and on
+    # either side of a chunk boundary
+    m = design_dk.mismatch
+    points = 2 * _CHUNK + 3
+    scales = 1.0 / (1.0 + np.linspace(-0.05, 0.05, points))
+    phi = 1e3 * m.z * (1.0 - scales[:, None]) + m.phi * scales[:, None]
+    couplings = 0.5 * design_dk.kappa * np.linspace(0.9, 1.1, points)
+    batch = undepleted_efficiencies(m.z, phi, couplings)
+    alone = [undepleted_efficiencies(m.z, phi[i], couplings[i])[0]
+             for i in range(points)]
+    assert np.array_equal(batch, alone)
+    order = np.random.default_rng(7).permutation(points)
+    assert np.array_equal(undepleted_efficiencies(m.z, phi[order], couplings[order]),
+                          batch[order])
+    shifted = undepleted_efficiencies(np.tile(m.z, (points - 5, 1)), phi[5:],
+                                      couplings[5:])
+    assert np.array_equal(shifted, batch[5:])
+
+
+def _sequential_product_eta(z, phi, coupling):
+    """Left-to-right product of the cells' matrix exponentials."""
+    from scipy.linalg import expm
+
+    u = np.eye(2, dtype=complex)
+    for h, dphi in zip(np.diff(z), np.diff(phi)):
+        d = dphi / h
+        u = expm(1j * h * np.array([[d / 2, -coupling], [-coupling, -d / 2]])) @ u
+    return abs(u[1, 0]) ** 2
+
+
+def test_exact_propagator_edge_cases():
+    rng = np.random.default_rng(3)
+    for cells in (1, 2, 7, 12):
+        z = np.sort(rng.uniform(0.0, L, cells + 1))
+        z[0], z[-1] = 0.0, L
+        phi = np.cumsum(rng.uniform(-30.0, 30.0, cells + 1))
+        eta = undepleted_efficiencies(z, phi, 2500.0)
+        assert eta == pytest.approx(_sequential_product_eta(z, phi, 2500.0), abs=1e-13)
+    flat = constant_mismatch(0.0, L, grid_n=8)
+    assert undepleted_efficiencies(flat.z, flat.phi, 1.1 / L)[0] == pytest.approx(
+        np.sin(1.1) ** 2, abs=1e-14)
+    chirp = lz_linear_chirp(-1e4, 1e4, L)
+    assert undepleted_efficiencies(chirp.z, chirp.phi, 0.0)[0] == 0.0
+    assert undepleted_efficiencies(flat.z, flat.phi, 0.0)[0] == 0.0
 
 
 def test_step_guard():
