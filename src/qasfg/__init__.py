@@ -12,18 +12,16 @@ from .materials import (
 from .trajectory import (
     AngleProfiles, MismatchProfile, TrajectoryError, TrajectorySpec,
     angle_profiles, beta_profile, boundary_check, delta_k_profile,
-    export_profile_csv, lr_phase, theta_profile,
+    theta_profile,
 )
 from .sensitivity import (
-    ErrorAmplitudes, OptimizeResult, PerturbedEfficiency, SensitivityResult,
-    delta_kappa_from_pump_error, eta_from_period_error, first_order_efficiency,
-    optimize_kappa, perturbation_coefficients, perturbed_efficiency_estimate,
-    q_deltak, q_kappa, sensitivity_result,
+    OptimizeResult, eta_from_period_error, first_order_efficiency,
+    optimize_kappa, perturbation_coefficients, q_deltak, q_kappa,
 )
 from .propagation import (
     FieldState, FieldTrajectory, PropagationError, constant_mismatch,
-    conversion_efficiency, export_trajectory_csv, lz_linear_chirp,
-    simulate_depleted, simulate_undepleted, undepleted_efficiencies,
+    lz_linear_chirp, simulate_depleted, simulate_undepleted,
+    undepleted_efficiencies,
 )
 from .experiments import (
     LAB_FRAME_COUPLING, CrystalDesign, LengthSweeps, SweepResult,

@@ -1,9 +1,11 @@
 """Command-line front end: config parsing, subcommand dispatch, and
 reproducible CSV/JSON emission.
 
-Subcommands: design | simulate | sweep | optimize. Exit codes: 0 success,
-1 internal/numeric failure, 2 user/config error. All outputs embed the
-config hash and tool version; reruns with the same config are byte-identical.
+Subcommands: design | simulate | sweep. Exit codes: 0 success,
+1 internal/numeric failure, 2 user/config error. This is the only module
+that writes artifacts: every CSV goes through _write_csv and every JSON
+through _write_json, so all outputs embed the config hash and tool version,
+and reruns with the same config are byte-identical.
 """
 
 import argparse
@@ -19,9 +21,9 @@ import numpy as np
 from . import __version__
 from .materials import (DispersionModel, NonlinearConstants, MaterialError,
                         EPS0_CHOICES)
-from .propagation import PropagationError, export_trajectory_csv
-from .sensitivity import optimize_kappa, export_trace_csv
-from .trajectory import TrajectoryError
+from .propagation import PropagationError
+from .sensitivity import TARGETS, optimize_kappa
+from .trajectory import TrajectoryError, boundary_check
 from . import experiments as xp
 
 DEFAULT_CONFIG = {
@@ -131,7 +133,7 @@ def _material_objects(mat):
 def _design_kwargs(cfg):
     model, nl, eps0 = _material_objects(cfg["material"])
     d = cfg["design"]
-    if d["target"] not in ("deltak", "kappa"):
+    if d["target"] not in TARGETS:
         raise ConfigError(f"design target must be 'deltak' or 'kappa', got {d['target']!r}")
     search = None
     if d["kappa_min_per_cm"] is not None or d["kappa_max_per_cm"] is not None:
@@ -151,8 +153,15 @@ def _check_steps_config(cfg):
     return steps
 
 
-def _headers(cfg_hash):
-    return (f"qasfg v{__version__}", f"config_sha256={cfg_hash}")
+def _write_csv(path, cfg_hash, names, *columns):
+    """Two '#' header lines, the column names, then one row per sample with
+    every cell written as repr(float), which float() reads back exactly."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# qasfg v{__version__}\n# config_sha256={cfg_hash}\n")
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in zip(*columns, strict=True):
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def _write_json(path, payload, cfg_hash):
@@ -206,6 +215,15 @@ def _design_from_file(path):
             raise ConfigError(f"design file {path} lacks the key {key}")
         if not _type_ok(block[name], ref):
             raise ConfigError(f"bad type for design file key {key}: {block[name]!r}")
+    if data["target"] not in TARGETS:
+        raise ConfigError(f"design file key target must be 'deltak' or 'kappa', "
+                          f"got {data['target']!r}")
+    if data.get("version", __version__) != __version__:
+        raise ConfigError(f"design file key version is {data['version']!r}, "
+                          f"but this is qasfg {__version__}")
+    q_value = data.get("q_value", float("nan"))
+    if not _type_ok(q_value, 0.0):
+        raise ConfigError(f"bad type for design file key q_value: {q_value!r}")
     mat = data["material"]
     model = DispersionModel.from_name(mat["dispersion_set"], mat["temperature_C"])
     nl = NonlinearConstants(chi2=mat["chi2_m_per_V"], duty_cycle=mat["duty_cycle"])
@@ -214,7 +232,7 @@ def _design_from_file(path):
         target=data["target"], model=model, nonlinear=nl,
         lam1=data["lambda1_um"] * 1e-6, lam2=data["lambda2_um"] * 1e-6,
         grid_n=data["grid_N"],
-        eps0=mat["eps0_F_per_m"], q_value=data.get("q_value", float("nan")))
+        eps0=mat["eps0_F_per_m"], q_value=q_value)
 
 
 def _obtain_design(args, cfg):
@@ -231,17 +249,11 @@ def cmd_design(args):
     kwargs, search = _design_kwargs(cfg)
     design = xp.build_design(search_range=search, **kwargs)
 
-    with open(os.path.join(outdir, "design.csv"), "w", newline="") as fh:
-        for line in _headers(cfg_hash):
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["z_m", "deltak_rad_per_m", "Lambda_m"])
-        for i in range(len(design.mismatch.z)):
-            writer.writerow([repr(float(design.mismatch.z[i])),
-                             repr(float(design.mismatch.delta_k[i])),
-                             repr(float(design.poling_period_m[i]))])
+    _write_csv(os.path.join(outdir, "design.csv"), cfg_hash,
+               ["z_m", "deltak_rad_per_m", "Lambda_m"],
+               design.mismatch.z, design.mismatch.delta_k, design.poling_period_m)
     _write_json(os.path.join(outdir, "design.json"), _design_payload(design), cfg_hash)
-    report = xp.design_boundary_report(design)
+    report = boundary_check(design.angles, design.mismatch)
     _write_json(os.path.join(outdir, "boundary_check.json"), report, cfg_hash)
     if not report["all_ok"]:
         print("boundary check failed", file=sys.stderr)
@@ -259,8 +271,12 @@ def cmd_simulate(args):
     sim = cfg["simulation"]
     traj = xp.simulate_design(design, steps=steps, depleted=bool(sim["depleted"]),
                               signal_pump_ratio=sim["signal_pump_ratio"])
-    export_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"),
-                          header_lines=_headers(cfg_hash))
+    names = ["z_m", "re_A1", "im_A1", "re_A3", "im_A3"]
+    columns = [traj.z, traj.a1.real, traj.a1.imag, traj.a3.real, traj.a3.imag]
+    if traj.a2 is not None:
+        names += ["re_A2", "im_A2"]
+        columns += [traj.a2.real, traj.a2.imag]
+    _write_csv(os.path.join(outdir, "trajectory.csv"), cfg_hash, names, *columns)
     _write_json(os.path.join(outdir, "simulate_summary.json"),
                 {"eta": traj.efficiency, "steps": steps,
                  "depleted": bool(sim["depleted"]),
@@ -279,14 +295,14 @@ def cmd_sweep(args):
     outdir = args.out or cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
     steps = _check_steps_config(cfg)
-    headers = _headers(cfg_hash)
 
     if args.name == "kappa-trace":
         kwargs, search = _design_kwargs(cfg)
         result = optimize_kappa(kwargs["length"], target=kwargs["target"],
                                 search_range=search, grid_n=kwargs["grid_n"])
-        export_trace_csv(result, os.path.join(outdir, "kappa_trace.csv"),
-                         header_lines=headers)
+        _write_csv(os.path.join(outdir, "kappa_trace.csv"), cfg_hash,
+                   ["kappa_per_cm", "q_value"], result.trace_kappa / 100.0,
+                   result.trace_q)
         _write_json(os.path.join(outdir, "kappa_trace_summary.json"),
                     {"kappa_per_cm": result.kappa_opt / 100.0,
                      "q_opt": result.q_opt, "target": result.target,
@@ -303,15 +319,9 @@ def cmd_sweep(args):
             target=kwargs["target"], lengths=lengths, model=kwargs["model"],
             nonlinear=kwargs["nonlinear"], lam1=kwargs["lam1"], lam2=kwargs["lam2"],
             grid_n=kwargs["grid_n"], steps=steps)
-        with open(os.path.join(outdir, "length.csv"), "w", newline="") as fh:
-            for line in headers:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["length_m", "eta_designed", "eta_chirp_baseline"])
-            for i in range(len(lengths)):
-                writer.writerow([repr(float(lengths[i])),
-                                 repr(float(sweeps.qa.efficiencies[i])),
-                                 repr(float(sweeps.lz.efficiencies[i]))])
+        _write_csv(os.path.join(outdir, "length.csv"), cfg_hash,
+                   ["length_m", "eta_designed", "eta_chirp_baseline"],
+                   lengths, sweeps.qa.efficiencies, sweeps.lz.efficiencies)
         _write_json(os.path.join(outdir, "length_summary.json"),
                     {"designed": sweeps.qa.summary, "chirp_baseline": sweeps.lz.summary},
                     cfg_hash)
@@ -339,28 +349,16 @@ def cmd_sweep(args):
             samples=block["samples"], steps=steps)
         print(f"eta(ratio={block['ratio_max']}) = {result.summary['eta_at_max_ratio']:.4f}")
 
-    stem = args.name
-    xp.export_sweep_csv(result, os.path.join(outdir, f"{stem}.csv"), headers)
-    xp.export_sweep_json(result, os.path.join(outdir, f"{stem}_summary.json"),
-                         provenance=design.provenance,
-                         extra={"version": __version__, "config_sha256": cfg_hash})
-    return 0
-
-
-def cmd_optimize(args):
-    cfg, cfg_hash = load_config(args.config)
-    outdir = args.out or cfg["output"]["dir"]
-    os.makedirs(outdir, exist_ok=True)
-    kwargs, search = _design_kwargs(cfg)
-    result = optimize_kappa(kwargs["length"], target=kwargs["target"],
-                            search_range=search, grid_n=kwargs["grid_n"])
-    export_trace_csv(result, os.path.join(outdir, "kappa_trace.csv"),
-                     header_lines=_headers(cfg_hash))
-    _write_json(os.path.join(outdir, "optimize.json"),
-                {"kappa_per_cm": result.kappa_opt / 100.0, "q_opt": result.q_opt,
-                 "target": result.target, "L_mm": result.length * 1e3,
-                 "at_boundary": result.at_boundary}, cfg_hash)
-    print(f"kappa* = {result.kappa_opt / 100.0:.4f} /cm (q = {result.q_opt:.4e})")
+    names = [f"{result.parameter}_{result.unit}", "eta"]
+    columns = [result.values, result.efficiencies]
+    if result.estimates is not None:
+        names.append("eta_first_order_estimate")
+        columns.append(result.estimates)
+    _write_csv(os.path.join(outdir, f"{args.name}.csv"), cfg_hash, names, *columns)
+    _write_json(os.path.join(outdir, f"{args.name}_summary.json"),
+                {"parameter": result.parameter, "unit": result.unit,
+                 "samples": len(result.values), "summary": result.summary,
+                 "design": design.provenance}, cfg_hash)
     return 0
 
 
@@ -385,14 +383,12 @@ def build_parser():
     p_sweep = sub.add_parser("sweep", help="run a named parameter sweep")
     p_sweep.add_argument("name", help=f"one of: {', '.join(SWEEP_NAMES)}")
     common(p_sweep, with_design=True)
-    common(sub.add_parser("optimize", help="coupling-rate optimization trace only"))
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    handlers = {"design": cmd_design, "simulate": cmd_simulate,
-                "sweep": cmd_sweep, "optimize": cmd_optimize}
+    handlers = {"design": cmd_design, "simulate": cmd_simulate, "sweep": cmd_sweep}
     try:
         return handlers[args.command](args)
     except USER_ERRORS as err:

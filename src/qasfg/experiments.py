@@ -1,9 +1,7 @@
 """Design assembly and sweep drivers: bandwidth, robustness, length scaling,
-and signal-depletion experiments, with CSV/JSON export.
+and signal-depletion experiments.
 """
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,15 +15,13 @@ from .propagation import (FieldState, simulate_undepleted, simulate_depleted,
 from .sensitivity import (eta_from_period_error, first_order_efficiency,
                           optimize_kappa)
 from .trajectory import (AngleProfiles, TrajectorySpec, MismatchProfile,
-                         angle_profiles, delta_k_profile, boundary_check)
+                         angle_profiles, delta_k_profile)
 
 __all__ = [
     "LAB_FRAME_COUPLING", "CrystalDesign", "SweepResult", "LengthSweeps",
-    "assemble_design", "build_design", "design_boundary_report",
-    "simulate_design", "bandwidth_sweep", "robustness_period_sweep",
-    "robustness_pump_sweep", "efficiency_vs_length", "signal_intensity_sweep",
-    "fwhm_interval", "tolerance_interval", "export_sweep_csv",
-    "export_sweep_json",
+    "assemble_design", "build_design", "simulate_design", "bandwidth_sweep",
+    "robustness_period_sweep", "robustness_pump_sweep", "efficiency_vs_length",
+    "signal_intensity_sweep", "fwhm_interval", "tolerance_interval",
 ]
 
 # The inverse engineering treats kappa as the full two-level coupling (Rabi)
@@ -61,7 +57,7 @@ class SweepResult:
     """Ordered (parameter, efficiency) samples with a derived summary.
 
     Robustness sweeps also carry the first-order perturbative estimates,
-    exported alongside the simulated values (the simulation is authoritative;
+    written alongside the simulated values (the simulation is authoritative;
     the estimate is an overlay that degrades at large errors).
     """
 
@@ -131,10 +127,6 @@ def build_design(length, target="deltak", model=DispersionModel(),
                            nonlinear=nonlinear, lam1=lam1, lam2=lam2,
                            grid_n=grid_n, eps0=eps0, q_value=opt.q_opt,
                            at_boundary=opt.at_boundary)
-
-
-def design_boundary_report(design):
-    return boundary_check(design.angles, design.mismatch)
 
 
 def simulate_design(design, steps=20000, depleted=False, signal_pump_ratio=1.0,
@@ -298,9 +290,15 @@ def signal_intensity_sweep(design, ratio_min=0.01, ratio_max=1.0, samples=41,
     return SweepResult("signal_pump_ratio", "1", ratios, etas, summary)
 
 
+def _crossing(xs, ys, i, j, level):
+    """x where the segment from sample i to sample j crosses level."""
+    return xs[i] + (level - ys[i]) * (xs[j] - xs[i]) / (ys[j] - ys[i])
+
+
 def fwhm_interval(xs, ys):
     """Full width at half maximum via the outermost half-peak crossings,
-    linearly interpolated. Returns (x_lo, x_hi, width, truncated)."""
+    linearly interpolated. Returns (x_lo, x_hi, width, truncated). Side lobes
+    above half maximum count as bandwidth; DECISIONS.md gives the reason."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     half = ys.max() / 2.0
@@ -310,13 +308,11 @@ def fwhm_interval(xs, ys):
     if lo_i == 0:
         x_lo, truncated = xs[0], True
     else:
-        x0, x1, y0, y1 = xs[lo_i - 1], xs[lo_i], ys[lo_i - 1], ys[lo_i]
-        x_lo = x0 + (half - y0) * (x1 - x0) / (y1 - y0)
+        x_lo = _crossing(xs, ys, lo_i - 1, lo_i, half)
     if hi_i == len(xs) - 1:
         x_hi, truncated = xs[-1], True
     else:
-        x0, x1, y0, y1 = xs[hi_i], xs[hi_i + 1], ys[hi_i], ys[hi_i + 1]
-        x_hi = x0 + (half - y0) * (x1 - x0) / (y1 - y0)
+        x_hi = _crossing(xs, ys, hi_i, hi_i + 1, half)
     return float(x_lo), float(x_hi), float(x_hi - x_lo), truncated
 
 
@@ -334,42 +330,6 @@ def tolerance_interval(xs, ys, threshold):
     hi_i = i0
     while hi_i < len(xs) - 1 and ys[hi_i + 1] >= threshold:
         hi_i += 1
-    if lo_i == 0:
-        lo = xs[0]
-    else:
-        x0, x1, y0, y1 = xs[lo_i - 1], xs[lo_i], ys[lo_i - 1], ys[lo_i]
-        lo = x0 + (threshold - y0) * (x1 - x0) / (y1 - y0)
-    if hi_i == len(xs) - 1:
-        hi = xs[-1]
-    else:
-        x0, x1, y0, y1 = xs[hi_i], xs[hi_i + 1], ys[hi_i], ys[hi_i + 1]
-        hi = x0 + (threshold - y0) * (x1 - x0) / (y1 - y0)
+    lo = xs[0] if lo_i == 0 else _crossing(xs, ys, lo_i - 1, lo_i, threshold)
+    hi = xs[-1] if hi_i == len(xs) - 1 else _crossing(xs, ys, hi_i, hi_i + 1, threshold)
     return (float(lo), float(hi))
-
-
-def export_sweep_csv(result, path, header_lines=()):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        cols = [f"{result.parameter}_{result.unit}", "eta"]
-        if result.estimates is not None:
-            cols.append("eta_first_order_estimate")
-        writer.writerow(cols)
-        for i, (v, e) in enumerate(zip(result.values, result.efficiencies)):
-            row = [repr(float(v)), repr(float(e))]
-            if result.estimates is not None:
-                row.append(repr(float(result.estimates[i])))
-            writer.writerow(row)
-
-
-def export_sweep_json(result, path, provenance=None, extra=None):
-    payload = {"parameter": result.parameter, "unit": result.unit,
-               "samples": len(result.values), "summary": result.summary}
-    if provenance:
-        payload["design"] = provenance
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

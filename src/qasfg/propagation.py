@@ -11,7 +11,6 @@ the Manley-Rowe combinations exactly and reduces to the pair above as the
 signal/pump ratio vanishes.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,7 @@ from .trajectory import MismatchProfile
 __all__ = [
     "PropagationError", "FieldState", "FieldTrajectory",
     "simulate_undepleted", "simulate_depleted", "undepleted_efficiencies",
-    "conversion_efficiency",
-    "lz_linear_chirp", "constant_mismatch", "export_trajectory_csv",
+    "lz_linear_chirp", "constant_mismatch",
 ]
 
 
@@ -46,16 +44,6 @@ class FieldTrajectory:
     a3: np.ndarray
     a2: np.ndarray | None
     efficiency: float
-
-
-def conversion_efficiency(traj):
-    """eta = |A3(L)|^2 / |A1(0)|^2 on the stored normalized amplitudes."""
-    if len(traj.z) == 0:
-        raise PropagationError("empty trajectory")
-    a1_in = abs(traj.a1[0])
-    if a1_in == 0.0:
-        raise PropagationError("zero input signal; efficiency undefined")
-    return float(abs(traj.a3[-1]) ** 2 / a1_in ** 2)
 
 
 def constant_mismatch(delta_k, length, grid_n=4001):
@@ -235,21 +223,3 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None,
     eta = 0.0 if abs(initial.a1) == 0 else abs(a3) ** 2 / abs(initial.a1) ** 2
     return FieldTrajectory(z=np.array(rec_z), a1=r1, a3=r3, a2=r2,
                            efficiency=float(eta))
-
-
-def export_trajectory_csv(traj, path, header_lines=()):
-    """Field trajectory CSV; pump columns included in depleted mode."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        cols = ["z_m", "re_A1", "im_A1", "re_A3", "im_A3"]
-        if traj.a2 is not None:
-            cols += ["re_A2", "im_A2"]
-        writer.writerow(cols)
-        for i in range(len(traj.z)):
-            row = [traj.z[i], traj.a1[i].real, traj.a1[i].imag,
-                   traj.a3[i].real, traj.a3[i].imag]
-            if traj.a2 is not None:
-                row += [traj.a2[i].real, traj.a2[i].imag]
-            writer.writerow([repr(float(v)) for v in row])

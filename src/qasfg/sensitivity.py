@@ -1,5 +1,5 @@
-"""Error-sensitivity integrals, perturbed-efficiency estimates, and the
-robustness-optimal coupling search.
+"""Error-sensitivity integrals, the first-order perturbed efficiency, and
+the robustness-optimal coupling search.
 
 Two phase conventions coexist (see trajectory.AngleProfiles): the selector
 phase m_select ranks designs and locates the reference optimal couplings;
@@ -7,21 +7,16 @@ the term-wise phase m feeds the quantitative second-order deficit
 predictions, which match direct coupled-wave simulation.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 
-from .materials import coupling_coefficient
 from .trajectory import TrajectoryError, TrajectorySpec, angle_profiles
 
 __all__ = [
-    "SensitivityResult", "ErrorAmplitudes", "PerturbedEfficiency",
     "OptimizeResult", "q_deltak", "q_kappa", "perturbation_coefficients",
-    "first_order_efficiency", "perturbed_efficiency_estimate",
-    "eta_from_period_error", "delta_kappa_from_pump_error",
-    "sensitivity_result", "optimize_kappa", "export_trace_csv",
+    "first_order_efficiency", "eta_from_period_error", "optimize_kappa",
 ]
 
 TARGETS = ("deltak", "kappa")
@@ -32,28 +27,6 @@ TARGETS = ("deltak", "kappa")
 # develop spurious deep dips on degenerate profiles.
 KL_SEARCH_MIN = 1.05 * np.pi
 KL_SEARCH_MAX = 10.0
-
-
-@dataclass(frozen=True)
-class SensitivityResult:
-    q_deltak: float  # m^2
-    q_kappa: float  # dimensionless
-    kappa: float  # rad/m
-    length: float  # m
-
-
-@dataclass(frozen=True)
-class ErrorAmplitudes:
-    """Perturbation amplitudes: mismatch offset (rad/m), relative pump error."""
-
-    eta_deltak: float = 0.0
-    eta_kappa: float = 0.0
-
-
-@dataclass(frozen=True)
-class PerturbedEfficiency:
-    full: float  # from the first-order transition integral
-    quadratic: float  # 1 - eta_dk^2 c_dk - eta_k^2 c_k shorthand
 
 
 @dataclass(frozen=True)
@@ -93,7 +66,10 @@ def perturbation_coefficients(angles):
 
 
 def first_order_efficiency(angles, eta_deltak=0.0, eta_kappa=0.0):
-    """First-order perturbed efficiency, clamped to [0, 1].
+    """First-order perturbed efficiency, clamped to [0, 1]:
+
+        1 - (1/4)|int e^{i m} (i eta_dk sin(theta)
+                               + 2 eta_k theta' sin^2(theta)) dz|^2.
 
     eta_deltak may be a scalar or a profile sampled on the angles grid
     (e.g. a period-error amplitude varying with the local period).
@@ -106,20 +82,6 @@ def first_order_efficiency(angles, eta_deltak=0.0, eta_kappa=0.0):
     return float(min(max(full, 0.0), 1.0))
 
 
-def perturbed_efficiency_estimate(angles, errors):
-    """Perturbed conversion efficiency, full integral and quadratic shorthand.
-
-    full = 1 - (1/4)|int e^{i m} (i eta_dk sin(theta)
-                                  + 2 eta_k theta' sin^2(theta)) dz|^2,
-    clamped to [0, 1].
-    """
-    full = first_order_efficiency(angles, errors.eta_deltak, errors.eta_kappa)
-    c_dk, c_k = perturbation_coefficients(angles)
-    quad = 1.0 - errors.eta_deltak ** 2 * c_dk - errors.eta_kappa ** 2 * c_k
-    return PerturbedEfficiency(full=full,
-                               quadratic=float(min(max(quad, 0.0), 1.0)))
-
-
 def eta_from_period_error(rel_error, period):
     """Mismatch error amplitude -2 pi (dLambda/Lambda) / Lambda for a uniform
     relative period offset. period may be a scalar or the sampled profile."""
@@ -127,16 +89,6 @@ def eta_from_period_error(rel_error, period):
         raise ValueError(f"relative period error must satisfy |e| < 1, got {rel_error}")
     out = -2.0 * np.pi * rel_error / np.asarray(period, dtype=float)
     return float(out) if np.ndim(period) == 0 else out
-
-
-def delta_kappa_from_pump_error(delta_a2, waves, nl):
-    """Absolute coupling offset produced by a pump-amplitude offset (rad/m)."""
-    return coupling_coefficient(abs(delta_a2), waves, nl) * np.sign(delta_a2)
-
-
-def sensitivity_result(angles):
-    return SensitivityResult(q_deltak=q_deltak(angles), q_kappa=q_kappa(angles),
-                             kappa=angles.kappa, length=angles.length)
 
 
 def _q_eval(kappa, length, grid_n, qfun):
@@ -198,14 +150,3 @@ def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
         q_opt=float(_q_eval(kappa_opt, length, grid_n, qfun)),
         target=target, length=length, at_boundary=at_boundary,
         trace_kappa=ks, trace_q=qs)
-
-
-def export_trace_csv(result, path, header_lines=()):
-    """Optimizer trace as (kappa_per_cm, q_value) rows."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kappa_per_cm", "q_value"])
-        for k, q in zip(result.trace_kappa, result.trace_q):
-            writer.writerow([repr(float(k) / 100.0), repr(float(q))])

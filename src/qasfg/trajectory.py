@@ -11,16 +11,15 @@ Conventions (the unique mutually consistent set):
 Removable endpoint singularities are replaced by their closed-form limits.
 """
 
-import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
 __all__ = [
     "TrajectoryError", "TrajectorySpec", "AngleProfiles", "MismatchProfile",
-    "theta_profile", "beta_profile", "lr_phase", "angle_profiles",
-    "delta_k_profile", "boundary_check", "export_profile_csv",
+    "theta_profile", "beta_profile", "angle_profiles", "delta_k_profile",
+    "boundary_check",
 ]
 
 
@@ -161,13 +160,6 @@ def angle_profiles(spec):
         m=m, m_select=m_select, edge_rate=d_edge)
 
 
-def lr_phase(angles):
-    """Accumulated invariant phase alpha(z) and m(z) = 2*alpha - beta."""
-    if not np.all(np.isfinite(angles.alpha)):
-        raise TrajectoryError("non-finite invariant phase; invalid profile")
-    return angles.alpha, angles.m
-
-
 def delta_k_profile(angles):
     """Synthesized mismatch dk(z) and accumulated phase phi(z).
 
@@ -223,22 +215,3 @@ def boundary_check(angles, mismatch, rel_tol=1e-9):
     report["all_ok"] = all(v["ok"] for v in report.values())
     report["near_degenerate"] = bool(k * L - np.pi < 1e-3)
     return report
-
-
-def export_profile_csv(angles, mismatch, path, header_lines=()):
-    """Write z, theta, beta, alpha, dk, phi columns at full precision."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["z_m", "theta_rad", "beta_rad", "alpha_rad",
-                         "deltak_rad_per_m", "phi_rad"])
-        for i in range(len(angles.z)):
-            writer.writerow([repr(float(v)) for v in (
-                angles.z[i], angles.theta[i], angles.beta[i], angles.alpha[i],
-                mismatch.delta_k[i], mismatch.phi[i])])
-
-
-def with_phase_offset(angles, offset):
-    """Copy of the profiles with a constant added to both phase accumulators."""
-    return replace(angles, m=angles.m + offset, m_select=angles.m_select + offset)

@@ -1,9 +1,13 @@
+import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
-from qasfg.cli import main
+from qasfg import __version__
+from qasfg import experiments as xp
+from qasfg.cli import _design_kwargs, load_config, main
 
 FAST_CONFIG = {
     "design": {"L_mm": 1.0, "target": "deltak", "grid_N": 1001},
@@ -135,13 +139,75 @@ def test_length_sweep_outputs(tmp_path):
 
 
 def test_optimize_outputs(tmp_path):
+    # the kappa* search has one subcommand, `sweep kappa-trace`
     cfg = write_config(tmp_path)
     out = str(tmp_path / "out")
-    assert main(["optimize", "--config", cfg, "--out", out]) == 0
-    payload = json.loads(open(os.path.join(out, "optimize.json")).read())
+    assert main(["sweep", "kappa-trace", "--config", cfg, "--out", out]) == 0
+    payload = json.loads(open(os.path.join(out, "kappa_trace_summary.json")).read())
     assert 74.2 <= payload["kappa_per_cm"] <= 78.2
-    assert not payload["at_boundary"]
-    assert os.path.exists(os.path.join(out, "kappa_trace.csv"))
+    assert payload["at_boundary"] is False
+    assert payload["target"] == "deltak"
+    with open(os.path.join(out, "kappa_trace.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[2] == ["kappa_per_cm", "q_value"]
+    assert len(rows) - 3 == 400
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--config", cfg, "--out", out])
+    assert exc.value.code == 2
+
+
+def _assert_artifact(path, cfg_hash, names, *columns):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[:2] == [[f"# qasfg v{__version__}"], [f"# config_sha256={cfg_hash}"]]
+    assert rows[2] == names
+    cells = np.array([[float(c) for c in r] for r in rows[3:]])
+    expected = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    assert cells.shape == expected.shape
+    assert cells.tobytes() == expected.tobytes()  # bit for bit
+
+
+def test_csv_artifacts_roundtrip(tmp_path):
+    # every cell of design, simulate (both modes) and sweep pump reads back
+    # with float() to the in-memory value it was written from
+    out = tmp_path / "out"
+    sweeps = {"pump": {"min_pct": -5.0, "max_pct": 5.0, "samples": 5}}
+    plain = write_config(tmp_path, {"sweeps": sweeps}, name="plain.json")
+    depleted = write_config(tmp_path, {"sweeps": sweeps, "simulation": {
+        "depleted": True, "signal_pump_ratio": 0.6}}, name="depleted.json")
+    cfg, cfg_hash = load_config(plain)
+    kwargs, search = _design_kwargs(cfg)
+    design = xp.build_design(search_range=search, **kwargs)
+
+    assert main(["design", "--config", plain, "--out", str(out / "d")]) == 0
+    _assert_artifact(out / "d" / "design.csv", cfg_hash,
+                     ["z_m", "deltak_rad_per_m", "Lambda_m"], design.mismatch.z,
+                     design.mismatch.delta_k, design.poling_period_m)
+
+    names = ["z_m", "re_A1", "im_A1", "re_A3", "im_A3"]
+    assert main(["simulate", "--config", plain, "--out", str(out / "s")]) == 0
+    traj = xp.simulate_design(design, steps=4000)
+    _assert_artifact(out / "s" / "trajectory.csv", cfg_hash, names, traj.z,
+                     traj.a1.real, traj.a1.imag, traj.a3.real, traj.a3.imag)
+
+    assert main(["simulate", "--config", depleted, "--out", str(out / "sd")]) == 0
+    traj = xp.simulate_design(design, steps=4000, depleted=True,
+                              signal_pump_ratio=0.6)
+    _assert_artifact(out / "sd" / "trajectory.csv", load_config(depleted)[1],
+                     names + ["re_A2", "im_A2"], traj.z, traj.a1.real,
+                     traj.a1.imag, traj.a3.real, traj.a3.imag, traj.a2.real,
+                     traj.a2.imag)
+
+    assert main(["sweep", "pump", "--config", plain, "--out", str(out / "p")]) == 0
+    sweep = xp.robustness_pump_sweep(design, rel_min=-0.05, rel_max=0.05,
+                                     samples=5, steps=4000)
+    _assert_artifact(out / "p" / "pump.csv", cfg_hash,
+                     ["pump_intensity_rel_error_1", "eta", "eta_first_order_estimate"],
+                     sweep.values, sweep.efficiencies, sweep.estimates)
+    payload = json.loads((out / "p" / "pump_summary.json").read_text())
+    assert payload["design"]["target"] == "deltak"
+    assert payload["samples"] == 5
+    assert "tolerance_intervals" in payload["summary"]
 
 
 def test_workers_key_unknown(tmp_path, capsys):
@@ -190,6 +256,9 @@ VALID_DESIGN = {
     ({"material": {"dispersion_set": "gayer2008_mgo_cln_e"}},
      "material.temperature_C"),
     ({"material": []}, "material"),
+    ({"target": "foo"}, "target"),
+    ({"version": "9.9.9"}, "version"),
+    ({"q_value": "abc"}, "q_value"),
 ])
 def test_design_file_fields_typed(tmp_path, capsys, edit, named):
     cfg = write_config(tmp_path)

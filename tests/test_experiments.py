@@ -1,17 +1,19 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from qasfg.cli import main
 from qasfg.experiments import (
-    LAB_FRAME_COUPLING, bandwidth_sweep, build_design, design_boundary_report,
-    efficiency_vs_length, export_sweep_csv, export_sweep_json, fwhm_interval,
+    LAB_FRAME_COUPLING, bandwidth_sweep, efficiency_vs_length, fwhm_interval,
     robustness_period_sweep, robustness_pump_sweep, signal_intensity_sweep,
     simulate_design, tolerance_interval,
 )
 from qasfg.materials import coupling_coefficient
 from qasfg.propagation import lz_linear_chirp, simulate_undepleted
-from qasfg.trajectory import TrajectorySpec, angle_profiles, delta_k_profile
+from qasfg.trajectory import (TrajectorySpec, angle_profiles, boundary_check,
+                              delta_k_profile)
 
 STEPS = 4000  # converged for these profiles; see test_sweep_step_convergence
 
@@ -27,7 +29,7 @@ def test_design_consistency(design_dk):
     # pump amplitude reproduces the stored coupling rate
     kappa = coupling_coefficient(d.pump_amplitude, d.triplet, d.nonlinear)
     assert kappa == pytest.approx(d.kappa, rel=1e-12)
-    assert design_boundary_report(d)["all_ok"]
+    assert boundary_check(d.angles, d.mismatch)["all_ok"]
     for key in ("target", "kappa_per_cm", "dispersion_set", "grid_N"):
         assert key in d.provenance
 
@@ -67,6 +69,18 @@ def test_fwhm_on_triangle():
     assert lo == pytest.approx(-0.5, abs=1e-12)
     assert hi == pytest.approx(0.5, abs=1e-12)
     assert width == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fwhm_counts_side_lobes_above_half_maximum():
+    # outermost-crossing rule (DECISIONS.md): a side lobe peaking at 0.6
+    # widens the interval from the main lobe's [-0.5, 0.5] to [-0.5, 2 + 1/12]
+    xs = np.linspace(-3.0, 3.0, 121)
+    ys = (np.clip(1.0 - np.abs(xs), 0.0, None)
+          + 0.6 * np.clip(1.0 - 2.0 * np.abs(xs - 2.0), 0.0, None))
+    lo, hi, width, truncated = fwhm_interval(xs, ys)
+    assert not truncated
+    assert lo == pytest.approx(-0.5, abs=1e-12)
+    assert hi == pytest.approx(2.0 + 1.0 / 12.0, abs=1e-12)
 
 
 def test_fwhm_truncation_flag():
@@ -184,21 +198,27 @@ def test_pump_intensity_decreases_with_length(design_dk):
     assert all(a > b for a, b in zip(intensities, intensities[1:]))
 
 
-def test_sweep_exports(tmp_path, design_dk):
-    result = robustness_pump_sweep(design_dk, rel_min=-0.05, rel_max=0.05,
-                                   samples=5, steps=2000)
-    csv_path = tmp_path / "s.csv"
-    json_path = tmp_path / "s.json"
-    export_sweep_csv(result, csv_path, header_lines=("h",))
-    export_sweep_json(result, json_path, provenance=design_dk.provenance)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "# h"
-    assert lines[1] == "pump_intensity_rel_error_1,eta,eta_first_order_estimate"
-    assert len(lines) == 2 + 5
-    payload = json.loads(json_path.read_text())
-    assert payload["design"]["target"] == "deltak"
-    assert "tolerance_intervals" in payload["summary"]
-
-
 def test_lab_frame_coupling_constant():
     assert LAB_FRAME_COUPLING == 0.5
+
+
+def test_sweep_exports(tmp_path, design_dk):
+    # the pump sweep reaches disk through the CLI writer: two '#' lines, the
+    # name row, one row per sample, and a summary JSON naming the design
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"simulation": {"steps": 2000}, "sweeps": {
+        "pump": {"min_pct": -5.0, "max_pct": 5.0, "samples": 5}}}))
+    out = tmp_path / "out"
+    assert main(["sweep", "pump", "--config", str(cfg), "--out", str(out)]) == 0
+    result = robustness_pump_sweep(design_dk, rel_min=-0.05, rel_max=0.05,
+                                   samples=5, steps=2000)
+    lines = (out / "pump.csv").read_text().splitlines()
+    assert lines[0].startswith("# qasfg v")
+    assert lines[1].startswith("# config_sha256=")
+    assert lines[2] == "pump_intensity_rel_error_1,eta,eta_first_order_estimate"
+    assert len(lines) == 3 + len(result.values) == 3 + 5
+    rows = list(csv.reader(lines[3:]))
+    assert [float(r[1]) for r in rows] == list(result.efficiencies)
+    payload = json.loads((out / "pump_summary.json").read_text())
+    assert payload["design"]["target"] == "deltak"
+    assert "tolerance_intervals" in payload["summary"]

@@ -1,11 +1,13 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
+from qasfg.cli import main
+from qasfg.experiments import simulate_design
 from qasfg.propagation import (
-    _CHUNK, FieldState, FieldTrajectory, PropagationError, constant_mismatch,
-    conversion_efficiency, export_trajectory_csv, lz_linear_chirp,
+    _CHUNK, FieldState, PropagationError, constant_mismatch, lz_linear_chirp,
     simulate_depleted, simulate_undepleted, undepleted_efficiencies,
 )
 from qasfg.trajectory import TrajectorySpec, angle_profiles, delta_k_profile
@@ -32,18 +34,24 @@ def test_phase_matched_closed_form(kl):
 def test_half_conversion_efficiency_accessor():
     profile = constant_mismatch(0.0, L)
     traj = simulate_undepleted(profile, (np.pi / 4) / L, steps=4000)
-    assert conversion_efficiency(traj) == pytest.approx(0.5, abs=1e-10)
+    assert traj.efficiency == pytest.approx(0.5, abs=1e-10)
+    assert traj.efficiency == pytest.approx(
+        abs(traj.a3[-1]) ** 2 / abs(traj.a1[0]) ** 2, rel=1e-14)
 
 
 def test_conversion_efficiency_edge_cases():
-    z = np.array([0.0, 1.0])
-    full = FieldTrajectory(z, np.array([1.0, 0.0]), np.array([0.0, 1.0]), None, 1.0)
-    assert conversion_efficiency(full) == pytest.approx(1.0)
-    idle = FieldTrajectory(z, np.array([1.0, 1.0]), np.array([0.0, 0.0]), None, 0.0)
-    assert conversion_efficiency(idle) == 0.0
-    dark = FieldTrajectory(z, np.array([0.0, 0.0]), np.array([0.0, 1.0]), None, 0.0)
-    with pytest.raises(PropagationError):
-        conversion_efficiency(dark)
+    profile = constant_mismatch(0.0, L)
+    full = simulate_undepleted(profile, (np.pi / 2) / L, steps=4000)
+    assert full.efficiency == pytest.approx(1.0, abs=1e-10)
+    idle = simulate_undepleted(profile, 0.0, steps=100)
+    assert idle.efficiency == 0.0
+    # no input signal: the efficiency is reported as 0, not divided by zero
+    dark = simulate_undepleted(profile, (np.pi / 2) / L, steps=4000,
+                               initial=FieldState(a1=0.0, a3=1.0))
+    assert dark.efficiency == 0.0
+    dark = simulate_depleted(profile, (np.pi / 2) / L, steps=4000,
+                             initial=FieldState(a1=0.0, a3=0.0, a2=1.0))
+    assert dark.efficiency == 0.0
 
 
 def test_flux_conservation_along_design(design_dk):
@@ -230,20 +238,19 @@ def test_depleted_manley_rowe(design_dk):
 
 
 def test_trajectory_csv(tmp_path, design_dk):
-    traj = simulate_undepleted(design_dk.mismatch, 0.5 * design_dk.kappa,
-                               steps=2000, record_stride=200)
-    path = tmp_path / "traj.csv"
-    export_trajectory_csv(traj, path, header_lines=("x",))
-    with open(path) as fh:
-        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
-    assert rows[0] == ["z_m", "re_A1", "im_A1", "re_A3", "im_A3"]
-    assert len(rows) - 1 == len(traj.z)
-
-    dep = simulate_depleted(design_dk.mismatch, 0.5 * design_dk.kappa,
-                            steps=2000, record_stride=200,
-                            initial=FieldState(0.5, 0.0, a2=1.0))
-    path2 = tmp_path / "traj2.csv"
-    export_trajectory_csv(dep, path2)
-    with open(path2) as fh:
-        header = next(csv.reader(fh))
-    assert header[-2:] == ["re_A2", "im_A2"]
+    # trajectory.csv carries A1 and A3 in both modes and A2 only when depleted,
+    # one row per recorded z sample
+    names = ["z_m", "re_A1", "im_A1", "re_A3", "im_A3"]
+    for depleted, extra in ((False, []), (True, ["re_A2", "im_A2"])):
+        cfg = tmp_path / f"config_{depleted}.json"
+        cfg.write_text(json.dumps({"simulation": {
+            "steps": 2000, "depleted": depleted, "signal_pump_ratio": 0.5}}))
+        out = tmp_path / f"out_{depleted}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        traj = simulate_design(design_dk, steps=2000, depleted=depleted,
+                               signal_pump_ratio=0.5)
+        with open(out / "trajectory.csv", newline="") as fh:
+            rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+        assert rows[0] == names + extra
+        assert len(rows) - 1 == len(traj.z)
+        assert [float(r[0]) for r in rows[1:]] == list(traj.z)

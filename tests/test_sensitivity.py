@@ -1,18 +1,18 @@
 import csv
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qasfg.materials import (DispersionModel, NonlinearConstants,
-                             coupling_coefficient, make_wave_triplet)
+from qasfg.cli import main
 from qasfg.propagation import simulate_undepleted
 from qasfg.sensitivity import (
-    ErrorAmplitudes, delta_kappa_from_pump_error, eta_from_period_error,
-    export_trace_csv, optimize_kappa, perturbation_coefficients,
-    perturbed_efficiency_estimate, q_deltak, q_kappa, sensitivity_result,
+    eta_from_period_error, first_order_efficiency, optimize_kappa,
+    perturbation_coefficients, q_deltak, q_kappa,
 )
 from qasfg.trajectory import (MismatchProfile, TrajectorySpec, angle_profiles,
-                              delta_k_profile, with_phase_offset)
+                              delta_k_profile)
 
 L = 1e-3
 
@@ -47,7 +47,8 @@ def test_q_kappa_depends_on_kl_only():
 
 
 def test_q_invariant_under_global_phase(angles_76):
-    shifted = with_phase_offset(angles_76, 2.345)
+    shifted = replace(angles_76, m=angles_76.m + 2.345,
+                      m_select=angles_76.m_select + 2.345)
     assert q_deltak(shifted) == pytest.approx(q_deltak(angles_76), rel=1e-12)
     assert q_kappa(shifted) == pytest.approx(q_kappa(angles_76), rel=1e-12)
 
@@ -110,43 +111,24 @@ def test_optimizer_reference_values_regression():
     assert optimize_kappa(L, target="kappa").kappa_opt == pytest.approx(6189.0, abs=1.0)
 
 
-def test_sensitivity_result_bundle(angles_76):
-    r = sensitivity_result(angles_76)
-    assert r.kappa == 7623.0 and r.length == L
-    assert r.q_deltak == pytest.approx(q_deltak(angles_76), rel=1e-14)
-    assert r.q_kappa == pytest.approx(q_kappa(angles_76), rel=1e-14)
-    assert r.q_deltak >= 0 and r.q_kappa >= 0
-
-
-def test_delta_kappa_from_pump_error_converter():
-    trip = make_wave_triplet(3.0e-6, 1.064e-6, DispersionModel())
-    nl = NonlinearConstants()
-    dk = delta_kappa_from_pump_error(1e5, trip, nl)
-    assert dk == pytest.approx(coupling_coefficient(1e5, trip, nl), rel=1e-14)
-    assert delta_kappa_from_pump_error(-1e5, trip, nl) == pytest.approx(-dk, rel=1e-14)
-
-
 def test_estimate_unperturbed(angles_76):
-    p = perturbed_efficiency_estimate(angles_76, ErrorAmplitudes())
-    assert p.full == 1.0
-    assert p.quadratic == 1.0
+    assert first_order_efficiency(angles_76) == 1.0
 
 
 def test_estimate_internal_quadratic_consistency(angles_76):
     c_dk, c_k = perturbation_coefficients(angles_76)
     eta_dk = np.sqrt(1e-4 / c_dk)
-    p = perturbed_efficiency_estimate(angles_76, ErrorAmplitudes(eta_deltak=eta_dk))
-    assert (1 - p.full) == pytest.approx(eta_dk ** 2 * c_dk, rel=1e-2)
+    full = first_order_efficiency(angles_76, eta_deltak=eta_dk)
+    assert (1 - full) == pytest.approx(eta_dk ** 2 * c_dk, rel=1e-2)
     eta_k = np.sqrt(1e-4 / c_k)
-    p = perturbed_efficiency_estimate(angles_76, ErrorAmplitudes(eta_kappa=eta_k))
-    assert (1 - p.full) == pytest.approx(eta_k ** 2 * c_k, rel=1e-2)
+    full = first_order_efficiency(angles_76, eta_kappa=eta_k)
+    assert (1 - full) == pytest.approx(eta_k ** 2 * c_k, rel=1e-2)
 
 
 def test_estimate_clamps_large_perturbations(angles_76):
-    p = perturbed_efficiency_estimate(
-        angles_76, ErrorAmplitudes(eta_deltak=1e6, eta_kappa=0.8))
-    assert 0.0 <= p.full <= 1.0
-    assert 0.0 <= p.quadratic <= 1.0
+    assert 0.0 <= first_order_efficiency(angles_76, eta_deltak=1e6, eta_kappa=0.8) <= 1.0
+    # the unclamped first-order value at eta_k = 2 is about -3.76
+    assert first_order_efficiency(angles_76, eta_kappa=2.0) == 0.0
 
 
 def _simulated_deficit(kappa, offset=0.0, coupling_scale=1.0, steps=12000):
@@ -183,16 +165,21 @@ def test_small_offset_agreement_on_design():
     angles = angle_profiles(TrajectorySpec(kappa, L))
     extreme = 2.0 * angles.edge_rate
     offset = 0.02 * extreme
-    p = perturbed_efficiency_estimate(angles, ErrorAmplitudes(eta_deltak=offset))
+    full = first_order_efficiency(angles, eta_deltak=offset)
     deficit = _simulated_deficit(kappa, offset=offset)
-    assert deficit == pytest.approx(1 - p.full, rel=0.10)
+    assert deficit == pytest.approx(1 - full, rel=0.10)
 
 
 def test_trace_export(tmp_path):
+    # kappa_trace.csv holds the whole Q(kappa) trace of the search, in /cm
     r = optimize_kappa(L, target="deltak", grid_n=1001)
-    path = tmp_path / "trace.csv"
-    export_trace_csv(r, path, header_lines=("x",))
-    with open(path) as fh:
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"design": {"L_mm": L * 1e3, "grid_N": 1001}}))
+    out = tmp_path / "out"
+    assert main(["sweep", "kappa-trace", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    with open(out / "kappa_trace.csv", newline="") as fh:
         rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
     assert rows[0] == ["kappa_per_cm", "q_value"]
     assert len(rows) - 1 == len(r.trace_kappa)
+    assert [float(row[0]) for row in rows[1:]] == list(r.trace_kappa / 100.0)

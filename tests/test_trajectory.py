@@ -1,4 +1,3 @@
-import csv
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +5,7 @@ import pytest
 
 from qasfg.trajectory import (
     TrajectoryError, TrajectorySpec, angle_profiles, beta_profile,
-    boundary_check, delta_k_profile, export_profile_csv, lr_phase,
-    theta_profile, with_phase_offset,
+    boundary_check, delta_k_profile, theta_profile,
 )
 
 KAPPA, LENGTH = 7623.0, 1e-3
@@ -92,9 +90,9 @@ def test_theta_dot_symmetry(angles):
 
 
 def test_alpha_starts_at_zero_and_is_finite(angles):
-    alpha, m = lr_phase(angles)
-    assert alpha[0] == 0.0
-    assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(m))
+    assert angles.alpha[0] == 0.0
+    assert np.all(np.isfinite(angles.alpha)) and np.all(np.isfinite(angles.m))
+    assert np.array_equal(angles.m, 2.0 * angles.alpha - angles.beta)
     assert np.all(np.isfinite(angles.m_select))
 
 
@@ -179,22 +177,3 @@ def test_boundary_check_catches_tampering(angles, mismatch):
     report = boundary_check(replace(angles, theta=theta_bad), mismatch)
     assert not report["all_ok"]
     assert not report["theta_end"]["ok"]
-
-
-def test_phase_offset_helper(angles):
-    shifted = with_phase_offset(angles, 1.5)
-    assert np.allclose(shifted.m, angles.m + 1.5)
-    assert np.allclose(shifted.m_select, angles.m_select + 1.5)
-
-
-def test_csv_export_roundtrip(tmp_path, angles, mismatch):
-    path = tmp_path / "profile.csv"
-    export_profile_csv(angles, mismatch, path, header_lines=("test",))
-    with open(path) as fh:
-        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
-    assert rows[0] == ["z_m", "theta_rad", "beta_rad", "alpha_rad",
-                       "deltak_rad_per_m", "phi_rad"]
-    assert len(rows) - 1 == len(angles.z)
-    assert float(rows[1][0]) == 0.0
-    assert float(rows[-1][0]) == pytest.approx(LENGTH, rel=1e-15)
-    assert float(rows[-1][3]) == pytest.approx(angles.alpha[-1], rel=1e-15)
