@@ -23,7 +23,7 @@ from .materials import (DispersionModel, NonlinearConstants, MaterialError,
                         EPS0_CHOICES)
 from .propagation import PropagationError
 from .sensitivity import TARGETS, optimize_kappa
-from .trajectory import TrajectoryError, boundary_check
+from .trajectory import TrajectoryError, _check_grid_n, boundary_check
 from . import experiments as xp
 
 DEFAULT_CONFIG = {
@@ -135,6 +135,10 @@ def _design_kwargs(cfg):
     d = cfg["design"]
     if d["target"] not in TARGETS:
         raise ConfigError(f"design target must be 'deltak' or 'kappa', got {d['target']!r}")
+    try:
+        _check_grid_n(d["grid_N"])
+    except TrajectoryError as err:
+        raise ConfigError(f"bad value for config key design.grid_N: {err}") from None
     search = None
     if d["kappa_min_per_cm"] is not None or d["kappa_max_per_cm"] is not None:
         if d["kappa_min_per_cm"] is None or d["kappa_max_per_cm"] is None:

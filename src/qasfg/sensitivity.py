@@ -8,11 +8,12 @@ predictions, which match direct coupled-wave simulation.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .trajectory import TrajectoryError, TrajectorySpec, angle_profiles
+from .trajectory import (TrajectoryError, TrajectorySpec, _angles,
+                         _check_grid_n, _simpson, angle_profiles)
 
 __all__ = [
     "OptimizeResult", "q_deltak", "q_kappa", "perturbation_coefficients",
@@ -27,6 +28,10 @@ TARGETS = ("deltak", "kappa")
 # develop spurious deep dips on degenerate profiles.
 KL_SEARCH_MIN = 1.05 * np.pi
 KL_SEARCH_MAX = 10.0
+
+# Grid samples per row block of the batched kappa*L scan: about 0.5 MB per
+# (rows, grid_n) float array whatever grid_n is.
+SCAN_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,13 +48,13 @@ class OptimizeResult:
 def q_deltak(angles):
     """Mismatch-error sensitivity (1/4)|int e^{i m_select} sin(theta) dz|^2, m^2."""
     f = np.exp(1j * angles.m_select) * np.sin(angles.theta)
-    return 0.25 * np.abs(simpson(f, x=angles.z)) ** 2
+    return 0.25 * np.abs(_simpson(f, angles.z)) ** 2
 
 
 def q_kappa(angles):
     """Coupling-error sensitivity (1/4)|int e^{i m_select} 2 theta' sin^2(theta) dz|^2."""
     f = np.exp(1j * angles.m_select) * 2.0 * angles.theta_dot * np.sin(angles.theta) ** 2
-    return 0.25 * np.abs(simpson(f, x=angles.z)) ** 2
+    return 0.25 * np.abs(_simpson(f, angles.z)) ** 2
 
 
 def perturbation_coefficients(angles):
@@ -60,8 +65,8 @@ def perturbation_coefficients(angles):
     simulation in the perturbative regime.
     """
     phase = np.exp(1j * angles.m)
-    s1 = simpson(phase * np.sin(angles.theta), x=angles.z)
-    s2 = simpson(phase * 2.0 * angles.theta_dot * np.sin(angles.theta) ** 2, x=angles.z)
+    s1 = _simpson(phase * np.sin(angles.theta), angles.z)
+    s2 = _simpson(phase * 2.0 * angles.theta_dot * np.sin(angles.theta) ** 2, angles.z)
     return 0.25 * np.abs(s1) ** 2, 0.25 * np.abs(s2) ** 2
 
 
@@ -78,7 +83,7 @@ def first_order_efficiency(angles, eta_deltak=0.0, eta_kappa=0.0):
     integ = phase * (1j * np.asarray(eta_deltak) * np.sin(angles.theta)
                      + 2.0 * eta_kappa * angles.theta_dot
                      * np.sin(angles.theta) ** 2)
-    full = 1.0 - 0.25 * np.abs(simpson(integ, x=angles.z)) ** 2
+    full = 1.0 - 0.25 * np.abs(_simpson(integ, angles.z)) ** 2
     return float(min(max(full, 0.0), 1.0))
 
 
@@ -91,6 +96,10 @@ def eta_from_period_error(rel_error, period):
     return float(out) if np.ndim(period) == 0 else out
 
 
+def _qfun(target):
+    return q_deltak if target == "deltak" else q_kappa
+
+
 def _q_eval(kappa, length, grid_n, qfun):
     try:
         return qfun(angle_profiles(TrajectorySpec(kappa, length, grid_n)))
@@ -98,33 +107,65 @@ def _q_eval(kappa, length, grid_n, qfun):
         return np.inf
 
 
+@lru_cache(maxsize=64)
+def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
+    """Sensitivity Q(x) of the unit-length problem at the couplings
+    x = linspace(x_lo, x_hi, scan_points), +inf where theta leaves (0, pi).
+
+    q is scale-free: q_deltak(kappa, L) = L^2 Q(kappa L) and
+    q_kappa(kappa, L) = Q(kappa L), so one scan serves every length. The rows
+    are solved SCAN_SAMPLES at a time, which bounds memory for any grid_n.
+    The arrays are shared between callers and therefore read-only.
+    """
+    qfun = _qfun(target)
+    xs = np.linspace(x_lo, x_hi, scan_points)
+    qs = np.empty(scan_points)
+    rows = max(1, SCAN_SAMPLES // grid_n)
+    for i in range(0, scan_points, rows):
+        angles, inside = _angles(xs[i:i + rows, None], 1.0, grid_n)
+        qs[i:i + rows] = np.where(inside, qfun(angles), np.inf)
+    xs.flags.writeable = qs.flags.writeable = False
+    return xs, qs
+
+
 def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
                    tol=0.1, grid_n=4001):
     """Robustness-optimal coupling for the chosen error channel.
 
     Coarse uniform scan over the search range followed by golden-section
-    refinement to within tol (rad/m). Invalid trajectories evaluate to +inf.
-    A minimum on the range boundary is reported via at_boundary, not hidden.
+    refinement to within tol (rad/m). The scan runs in kappa*L on the
+    unit-length problem and is memoised, so designs that share the target,
+    grid and kappa*L window share it; the refinement and q_opt are computed
+    at the real length. Invalid trajectories evaluate to +inf. A minimum on
+    the range boundary is reported via at_boundary, not hidden.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; choose from {TARGETS}")
-    qfun = q_deltak if target == "deltak" else q_kappa
+    if not (np.isfinite(length) and length > 0.0):
+        raise ValueError(f"length must be positive and finite, got {length}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_grid_n(grid_n)
+    qfun = _qfun(target)
     if search_range is None:
-        search_range = (KL_SEARCH_MIN / length, KL_SEARCH_MAX / length)
-    lo, hi = search_range
-    if not (hi > lo > 0.0):
-        raise ValueError(f"invalid search range ({lo}, {hi})")
-    if lo * length <= np.pi:
-        raise ValueError(
-            f"search range must satisfy kappa*L > pi; lower bound gives "
-            f"kappa*L = {lo * length:.4f}")
+        x_lo, x_hi = KL_SEARCH_MIN, KL_SEARCH_MAX
+    else:
+        lo, hi = search_range
+        if not (np.isfinite(hi) and hi > lo > 0.0):
+            raise ValueError(f"invalid search range ({lo}, {hi})")
+        x_lo, x_hi = lo * length, hi * length
+        if x_lo <= np.pi:
+            raise ValueError(
+                f"search range must satisfy kappa*L > pi; lower bound gives "
+                f"kappa*L = {x_lo:.4f}")
     if scan_points < 400:
         raise ValueError(f"scan needs at least 400 points, got {scan_points}")
 
-    ks = np.linspace(lo, hi, scan_points)
-    qs = np.array([_q_eval(k, length, grid_n, qfun) for k in ks])
-    if not np.any(np.isfinite(qs)):
+    xs, qs_unit = _unit_scan(target, grid_n, x_lo, x_hi, scan_points)
+    if not np.any(np.isfinite(qs_unit)):
         raise ValueError("no valid trajectory in the search range")
+    ks = xs / length
+    qs = qs_unit * length ** 2 if target == "deltak" else qs_unit.copy()
     best = int(np.argmin(qs))
     at_boundary = best in (0, scan_points - 1)
 

@@ -14,7 +14,6 @@ Removable endpoint singularities are replaced by their closed-form limits.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 __all__ = [
     "TrajectoryError", "TrajectorySpec", "AngleProfiles", "MismatchProfile",
@@ -25,6 +24,32 @@ __all__ = [
 
 class TrajectoryError(ValueError):
     """Invalid trajectory spec or profile (e.g. kappa*L <= pi)."""
+
+
+def _check_grid_n(grid_n):
+    """Raise TrajectoryError unless grid_n is odd, as the Simpson rules below
+    require, and at least 1001."""
+    if grid_n < 1001 or grid_n % 2 == 0:
+        raise TrajectoryError(f"grid size must be odd and >= 1001, got {grid_n}")
+
+
+def _simpson(y, z):
+    """Composite Simpson integral of y over the last axis, sampled on the
+    uniform grid z with an odd number of samples."""
+    dx = (z[-1] - z[0]) / (z.size - 1)
+    return np.sum(y[..., :-2:2] + 4.0 * y[..., 1:-1:2] + y[..., 2::2], axis=-1) * (dx / 3.0)
+
+
+def _cumulative_simpson(y, z):
+    """Running integral of y over the last axis from z[0], on the uniform grid
+    z with an odd number of samples: the composite rule at even samples, plus
+    the integral of the panel's parabola over its first cell at odd ones."""
+    dx = (z[-1] - z[0]) / (z.size - 1)
+    left, mid, right = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
+    out = np.zeros_like(y)
+    np.cumsum((left + 4.0 * mid + right) * (dx / 3.0), axis=-1, out=out[..., 2::2])
+    out[..., 1::2] = out[..., :-1:2] + (5.0 * left + 8.0 * mid - right) * (dx / 12.0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -42,15 +67,7 @@ class TrajectorySpec:
             raise TrajectoryError(
                 f"kappa*L must exceed pi for a real profile; got kappa*L = "
                 f"{self.kappa * self.length:.6f}")
-        if self.grid_n < 1001 or self.grid_n % 2 == 0:
-            raise TrajectoryError(
-                f"grid size must be odd and >= 1001, got {self.grid_n}")
-
-    @property
-    def edge_rate(self):
-        """sqrt(60 (kL - pi) / (k L^3)); |dk| at the endpoints is twice this."""
-        d = self.kappa * self.length - np.pi
-        return np.sqrt(60.0 * d / (self.kappa * self.length ** 3))
+        _check_grid_n(self.grid_n)
 
 
 @dataclass(frozen=True)
@@ -97,8 +114,11 @@ def theta_profile(spec):
     theta(z) = kappa z - (kappa L - pi)(10 s^3 - 15 s^4 + 6 s^5), s = z/L,
     with derivatives evaluated analytically.
     """
-    k, L = spec.kappa, spec.length
-    z = np.linspace(0.0, L, spec.grid_n)
+    return _theta(spec.kappa, spec.length, spec.grid_n)
+
+
+def _theta(k, L, grid_n):
+    z = np.linspace(0.0, L, grid_n)
     s = z / L
     d = k * L - np.pi
     theta = k * z - d * (10 * s ** 3 - 15 * s ** 4 + 6 * s ** 5)
@@ -120,44 +140,56 @@ def beta_profile(kappa, theta_dot):
 
 def angle_profiles(spec):
     """Build the full sampled trajectory for a valid spec."""
-    k, L = spec.kappa, spec.length
-    z, theta, theta_dot, theta_ddot = theta_profile(spec)
+    angles, inside = _angles(spec.kappa, spec.length, spec.grid_n)
+    if not inside:
+        raise TrajectoryError(
+            f"theta leaves (0, pi) on the interior for kappa*L = "
+            f"{spec.kappa * spec.length:.4f}; the phase integrand is singular "
+            "and the profile is invalid")
+    return angles
+
+
+def _angles(k, L, grid_n):
+    """Trajectory for the coupling k on one grid, and whether theta stays
+    inside (0, pi) on the interior. k is a float, or an (R, 1) column of
+    couplings whose trajectories fill the rows of every array (the batched
+    kappa scan of sensitivity.optimize_kappa); the flag is then per row.
+    The phases of a row whose theta leaves (0, pi) are meaningless."""
+    z, theta, theta_dot, theta_ddot = _theta(k, L, grid_n)
     beta = beta_profile(k, theta_dot)
     cos_beta = np.sqrt(np.clip(1.0 - (theta_dot / k) ** 2, 0.0, None))
-    d_edge = spec.edge_rate
-
+    # sqrt(60 (kL - pi) / (k L^3)); |dk| at the endpoints is twice this.
+    d_edge = np.sqrt(60.0 * (k * L - np.pi) / (k * L ** 3))
     sin_theta = np.sin(theta)
-    if np.any(sin_theta[1:-1] <= 0.0):
-        raise TrajectoryError(
-            f"theta leaves (0, pi) on the interior for kappa*L = {k * L:.4f}; "
-            "the phase integrand is singular and the profile is invalid")
+    inside = np.all(sin_theta[..., 1:-1] > 0.0, axis=-1)
 
     # beta' = -theta''/(kappa cos beta); removable 0/0 at the endpoints.
-    beta_dot = np.empty_like(z)
-    beta_dot[1:-1] = -theta_ddot[1:-1] / (k * cos_beta[1:-1])
-    beta_dot[0], beta_dot[-1] = d_edge, -d_edge
+    beta_dot = np.empty_like(theta)
+    beta_dot[..., 1:-1] = -theta_ddot[..., 1:-1] / (k * cos_beta[..., 1:-1])
+    beta_dot[..., :1], beta_dot[..., -1:] = d_edge, -d_edge
 
     # theta' cot(beta) = -kappa cos(beta) identically (safe where theta'=0).
-    term = np.empty_like(z)
-    term[1:-1] = -k * cos_beta[1:-1] / sin_theta[1:-1]
-    term[0] = term[-1] = -d_edge
+    term = np.empty_like(theta)
+    term[..., 1:-1] = -k * cos_beta[..., 1:-1] / sin_theta[..., 1:-1]
+    term[..., :1] = term[..., -1:] = -d_edge
 
     rate = beta_dot + term
-    alpha = 0.5 * cumulative_simpson(rate, x=z, initial=0.0)
+    alpha = 0.5 * _cumulative_simpson(rate, z)
     m = 2.0 * alpha - beta
 
     # Single-fraction grouping; its 1/z endpoint divergence is clipped to the
     # neighbouring interior value (the q integrands vanish there, and the
     # accumulated phase is grid-stable; see tests).
-    rate_sel = np.empty_like(z)
-    rate_sel[1:-1] = (beta_dot[1:-1] + term[1:-1] * sin_theta[1:-1]) / sin_theta[1:-1]
-    rate_sel[0], rate_sel[-1] = rate_sel[1], rate_sel[-2]
-    m_select = cumulative_simpson(rate_sel, x=z, initial=0.0)
+    rate_sel = np.empty_like(theta)
+    rate_sel[..., 1:-1] = ((beta_dot[..., 1:-1] + term[..., 1:-1] * sin_theta[..., 1:-1])
+                           / sin_theta[..., 1:-1])
+    rate_sel[..., 0], rate_sel[..., -1] = rate_sel[..., 1], rate_sel[..., -2]
+    m_select = _cumulative_simpson(rate_sel, z)
 
     return AngleProfiles(
         kappa=k, length=L, z=z, theta=theta, theta_dot=theta_dot,
         theta_ddot=theta_ddot, beta=beta, beta_dot=beta_dot, alpha=alpha,
-        m=m, m_select=m_select, edge_rate=d_edge)
+        m=m, m_select=m_select, edge_rate=d_edge), inside
 
 
 def delta_k_profile(angles):
@@ -179,7 +211,7 @@ def delta_k_profile(angles):
     if not np.all(np.isfinite(dk)):
         raise TrajectoryError("non-finite mismatch profile")
 
-    phi = cumulative_simpson(dk, x=z, initial=0.0)
+    phi = _cumulative_simpson(dk, z)
     return MismatchProfile(z=z, delta_k=dk, phi=phi, kappa=k, length=angles.length)
 
 

@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -24,3 +27,11 @@ def test_only_cli_writes_artifacts(name):
     module = importlib.import_module(f"qasfg.{name}")
     assert "csv" not in vars(module) and "json" not in vars(module)
     assert not [n for n in vars(module) if n.startswith("export_")]
+
+
+def test_runtime_needs_no_scipy():
+    # scipy is a test dependency only; a fresh interpreter must not load it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qasfg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, qasfg.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

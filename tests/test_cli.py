@@ -75,6 +75,17 @@ def test_kl_constraint_named(tmp_path, capsys):
     assert "pi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid_n", [1000, 999])
+def test_bad_grid_named(tmp_path, capsys, grid_n):
+    # checked before the kappa scan, so the key is named instead of
+    # "no valid trajectory in the search range"
+    cfg = write_config(tmp_path, {"design": {"grid_N": grid_n}})
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "design.grid_N" in err
+    assert f"grid size must be odd and >= 1001, got {grid_n}" in err
+
+
 def test_zero_steps_rejected(tmp_path):
     cfg = write_config(tmp_path, {"simulation": {"steps": 0}})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

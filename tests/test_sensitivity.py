@@ -11,8 +11,8 @@ from qasfg.sensitivity import (
     eta_from_period_error, first_order_efficiency, optimize_kappa,
     perturbation_coefficients, q_deltak, q_kappa,
 )
-from qasfg.trajectory import (MismatchProfile, TrajectorySpec, angle_profiles,
-                              delta_k_profile)
+from qasfg.trajectory import (MismatchProfile, TrajectoryError, TrajectorySpec,
+                              angle_profiles, delta_k_profile)
 
 L = 1e-3
 
@@ -88,10 +88,48 @@ def test_optimizer_rejects_bad_ranges():
         optimize_kappa(L, search_range=(2000.0, 3000.0))
     with pytest.raises(ValueError):
         optimize_kappa(L, search_range=(5000.0, 4000.0))
+    with pytest.raises(ValueError, match="search range"):
+        optimize_kappa(L, search_range=(5000.0, np.inf))
     with pytest.raises(ValueError):
         optimize_kappa(L, scan_points=100)
     with pytest.raises(ValueError):
         optimize_kappa(L, target="frequency")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_optimizer_rejects_bad_tol(tol):
+    # a non-positive tol used to spin the golden section forever
+    with pytest.raises(ValueError, match="tol"):
+        optimize_kappa(L, tol=tol)
+
+
+def test_optimizer_rejects_bad_length_and_grid():
+    for length in (0.0, -1e-3, np.inf):
+        with pytest.raises(ValueError, match="length"):
+            optimize_kappa(length)
+    with pytest.raises(TrajectoryError, match="grid size must be odd"):
+        optimize_kappa(L, grid_n=1000)
+
+
+@pytest.mark.parametrize("target", ["deltak", "kappa"])
+@pytest.mark.parametrize("window,rtol", [(None, 1e-13), ((15000.0, 25000.0), 1e-10)])
+def test_scan_matches_scalar_q(target, window, rtol):
+    # The batched kappa*L scan against one angle_profiles call per coupling.
+    # The explicit window runs past kappa*L ~ 18.7, where theta leaves (0, pi)
+    # and q at the dips is small enough to lose digits to cancellation.
+    r = optimize_kappa(L, target=target, search_range=window, grid_n=1001)
+    qfun = q_deltak if target == "deltak" else q_kappa
+    ref = []
+    for kappa in r.trace_kappa:
+        try:
+            ref.append(qfun(angle_profiles(TrajectorySpec(kappa, L, 1001))))
+        except TrajectoryError:
+            ref.append(np.inf)
+    ref = np.array(ref)
+    valid = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(r.trace_q), valid)
+    assert valid.any() and (window is None or not valid.all())
+    np.testing.assert_allclose(r.trace_q[valid], ref[valid], rtol=rtol)
 
 
 def test_eta_from_period_error():
