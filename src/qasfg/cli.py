@@ -130,15 +130,19 @@ def _material_objects(mat):
     return model, NonlinearConstants(chi2=chi2, duty_cycle=mat["duty_cycle"]), eps0
 
 
+def _check_grid_key(grid_n, key):
+    try:
+        _check_grid_n(grid_n)
+    except TrajectoryError as err:
+        raise ConfigError(f"bad value for {key}: {err}") from None
+
+
 def _design_kwargs(cfg):
     model, nl, eps0 = _material_objects(cfg["material"])
     d = cfg["design"]
     if d["target"] not in TARGETS:
         raise ConfigError(f"design target must be 'deltak' or 'kappa', got {d['target']!r}")
-    try:
-        _check_grid_n(d["grid_N"])
-    except TrajectoryError as err:
-        raise ConfigError(f"bad value for config key design.grid_N: {err}") from None
+    _check_grid_key(d["grid_N"], "config key design.grid_N")
     search = None
     if d["kappa_min_per_cm"] is not None or d["kappa_max_per_cm"] is not None:
         if d["kappa_min_per_cm"] is None or d["kappa_max_per_cm"] is None:
@@ -222,6 +226,7 @@ def _design_from_file(path):
     if data["target"] not in TARGETS:
         raise ConfigError(f"design file key target must be 'deltak' or 'kappa', "
                           f"got {data['target']!r}")
+    _check_grid_key(data["grid_N"], "design file key grid_N")
     if data.get("version", __version__) != __version__:
         raise ConfigError(f"design file key version is {data['version']!r}, "
                           f"but this is qasfg {__version__}")

@@ -275,8 +275,9 @@ def efficiency_vs_length(target="deltak", lengths=None, model=DispersionModel(),
 
 def signal_intensity_sweep(design, ratio_min=0.01, ratio_max=1.0, samples=41,
                            steps=20000, workers=1):
-    """Depleted-pump efficiency vs signal/pump flux-amplitude ratio, one RK4
-    run of simulate_depleted per point; workers is ignored."""
+    """Depleted-pump efficiency vs signal/pump flux-amplitude ratio: one
+    scalar RK4 run of simulate_depleted per point, stepping the profile cell
+    by cell and recording (almost) only the end point; workers is ignored."""
     if ratio_min <= 0.0:
         raise ValueError("ratio_min must be positive (zero signal has no efficiency)")
     coupling = LAB_FRAME_COUPLING * design.kappa

@@ -270,6 +270,8 @@ VALID_DESIGN = {
     ({"target": "foo"}, "target"),
     ({"version": "9.9.9"}, "version"),
     ({"q_value": "abc"}, "q_value"),
+    ({"grid_N": 1000}, "bad value for design file key grid_N"),
+    ({"grid_N": 999}, "bad value for design file key grid_N"),
 ])
 def test_design_file_fields_typed(tmp_path, capsys, edit, named):
     cfg = write_config(tmp_path)

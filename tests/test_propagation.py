@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qasfg.cli import main
-from qasfg.experiments import simulate_design
+from qasfg.experiments import LAB_FRAME_COUPLING, simulate_design
 from qasfg.propagation import (
     _CHUNK, FieldState, PropagationError, constant_mismatch, lz_linear_chirp,
     simulate_depleted, simulate_undepleted, undepleted_efficiencies,
@@ -235,6 +235,33 @@ def test_depleted_manley_rowe(design_dk):
     assert np.abs(n1 - n1[0]).max() < 1e-8
     assert np.abs(n2 - n2[0]).max() < 1e-8
     assert 0.0 < traj.efficiency < 1.0
+
+
+@pytest.mark.parametrize("ratio", [0.05, 0.5, 1.2])
+def test_depleted_matches_solve_ivp(design_dk, ratio):
+    # Independent reference: scipy's adaptive DOP853, one call per profile
+    # cell (on which the co-rotating system c3 = a3 e^{-i phi} is autonomous)
+    from scipy.integrate import solve_ivp
+    kt = LAB_FRAME_COUPLING * design_dk.kappa
+    z, phi = design_dk.mismatch.z, design_dk.mismatch.phi
+    ys = [np.array([ratio, 0.0, 1.0, 0.0, 0.0, 0.0])]
+    for z0, z1, d in zip(z[:-1], z[1:], np.diff(phi) / np.diff(z)):
+        def rhs(_, y, d=d):
+            a1, a2, c3 = complex(y[0], y[1]), complex(y[2], y[3]), complex(y[4], y[5])
+            f1, f2 = -1j * kt * c3 * a2.conjugate(), -1j * kt * c3 * a1.conjugate()
+            f3 = -1j * (kt * a1 * a2 + d * c3)
+            return [f1.real, f1.imag, f2.real, f2.imag, f3.real, f3.imag]
+        ys.append(solve_ivp(rhs, (z0, z1), ys[-1], method="DOP853",
+                            rtol=1e-12, atol=1e-14).y[:, -1])
+    y = np.array(ys)
+    a1, a2, a3 = y[:, 0] + 1j * y[:, 1], y[:, 2] + 1j * y[:, 3], y[:, 4] + 1j * y[:, 5]
+    a3 = a3 * np.exp(1j * phi)  # back to the lab frame
+    traj = simulate_design(design_dk, depleted=True, signal_pump_ratio=ratio)
+    assert abs(traj.efficiency - abs(a3[-1]) ** 2 / ratio ** 2) <= 1e-10
+    # 5 steps per cell, recorded every 10 steps: at every other node
+    assert np.array_equal(traj.z, z[::2])
+    for got, ref in ((traj.a1, a1), (traj.a2, a2), (traj.a3, a3)):
+        assert np.abs(got - ref[::2]).max() <= 1e-10
 
 
 def test_trajectory_csv(tmp_path, design_dk):

@@ -1,14 +1,17 @@
 """Property tests: scale covariance of the sensitivities and of kappa*, the
-numpy Simpson rules against scipy's, and the memoised kappa*L scan."""
+numpy Simpson rules against scipy's, the memoised kappa*L scan, and the
+depleted-pump integrator (Manley-Rowe, small-signal limit, step rounding)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
+from qasfg.experiments import LAB_FRAME_COUPLING
+from qasfg.propagation import FieldState, simulate_depleted, undepleted_efficiencies
 from qasfg.sensitivity import TARGETS, _unit_scan, optimize_kappa, q_deltak, q_kappa
 from qasfg.trajectory import (TrajectorySpec, _cumulative_simpson, _simpson,
-                              angle_profiles)
+                              angle_profiles, delta_k_profile)
 
 REF_LENGTH = 1e-3
 GRID = 1001
@@ -78,3 +81,46 @@ def test_optimizer_independent_of_scan_cache(length, others, target):
     # q_opt is q of the real problem at kappa*, not a rescaled scan value
     qfun = q_deltak if target == "deltak" else q_kappa
     assert cold.q_opt == qfun(angle_profiles(TrajectorySpec(cold.kappa_opt, length, GRID)))
+
+
+designed_kl = st.floats(5.5, 9.0)
+ratios = st.floats(0.01, 1.2)
+
+
+def _designed(length, kl):
+    """Mismatch profile of the design with coupling kl / length, and the
+    lab-frame pair coupling that drives it."""
+    mism = delta_k_profile(angle_profiles(TrajectorySpec(kl / length, length, 4001)))
+    return mism, LAB_FRAME_COUPLING * kl / length
+
+
+@few
+@given(length=lengths, kl=designed_kl, ratio=ratios)
+def test_depleted_manley_rowe(length, kl, ratio):
+    mism, coupling = _designed(length, kl)
+    traj = simulate_depleted(mism, coupling, initial=FieldState(ratio, 0.0, 1.0))
+    p1, p2, p3 = (np.abs(a) ** 2 for a in (traj.a1, traj.a2, traj.a3))
+    assert np.abs(p1 + p3 - ratio ** 2).max() <= 1e-12
+    assert np.abs(p2 + p3 - 1.0).max() <= 1e-12
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(length=lengths, kl=designed_kl)
+def test_depleted_small_signal_limit(length, kl):
+    mism, coupling = _designed(length, kl)
+    weak = simulate_depleted(mism, coupling, initial=FieldState(1e-3, 0.0, 1.0))
+    exact = undepleted_efficiencies(mism.z, mism.phi, coupling)[0]
+    assert abs(weak.efficiency - exact) <= 1e-9
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(length=lengths, kl=designed_kl, ratio=ratios)
+def test_depleted_steps_round_up_per_cell(length, kl, ratio):
+    # 4000 cells: 19999 and 20000 steps both take 5 RK4 steps per cell
+    mism, coupling = _designed(length, kl)
+    runs = [simulate_depleted(mism, coupling, steps=steps,
+                              initial=FieldState(ratio, 0.0, 1.0))
+            for steps in (19999, 20000)]
+    assert runs[0].efficiency == runs[1].efficiency
+    for name in ("z", "a1", "a2", "a3"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
