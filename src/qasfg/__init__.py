@@ -12,7 +12,6 @@ from .materials import (
 from .trajectory import (
     AngleProfiles, MismatchProfile, TrajectoryError, TrajectorySpec,
     angle_profiles, beta_profile, boundary_check, delta_k_profile,
-    theta_profile,
 )
 from .sensitivity import (
     OptimizeResult, eta_from_period_error, first_order_efficiency,

@@ -195,6 +195,7 @@ def _design_payload(design):
         "intensity_W_per_m2": design.pump_intensity,
         "intensity_MW_per_cm2": design.pump_intensity / 1e10,
         "q_value": design.q_value,
+        "kappa_at_search_boundary": design.provenance["kappa_at_search_boundary"],
         "material": {
             "dispersion_set": design.model.sellmeier.name,
             "temperature_C": design.model.temperature_c,
@@ -206,8 +207,9 @@ def _design_payload(design):
 
 
 # The fields a design file must carry, each with an example value of its type.
-DESIGN_FIELDS = {"kappa_rad_per_m": 0.0, "L_mm": 0.0, "target": "", "grid_N": 0,
-                 "lambda1_um": 0.0, "lambda2_um": 0.0, "material": {},
+DESIGN_FIELDS = {"version": "", "kappa_rad_per_m": 0.0, "L_mm": 0.0, "target": "",
+                 "grid_N": 0, "lambda1_um": 0.0, "lambda2_um": 0.0,
+                 "kappa_at_search_boundary": False, "material": {},
                  "material.dispersion_set": "", "material.temperature_C": 0.0,
                  "material.chi2_m_per_V": 0.0, "material.duty_cycle": 0.0,
                  "material.eps0_F_per_m": 0.0}
@@ -227,7 +229,7 @@ def _design_from_file(path):
         raise ConfigError(f"design file key target must be 'deltak' or 'kappa', "
                           f"got {data['target']!r}")
     _check_grid_key(data["grid_N"], "design file key grid_N")
-    if data.get("version", __version__) != __version__:
+    if data["version"] != __version__:
         raise ConfigError(f"design file key version is {data['version']!r}, "
                           f"but this is qasfg {__version__}")
     q_value = data.get("q_value", float("nan"))
@@ -240,8 +242,8 @@ def _design_from_file(path):
         kappa=data["kappa_rad_per_m"], length=data["L_mm"] * 1e-3,
         target=data["target"], model=model, nonlinear=nl,
         lam1=data["lambda1_um"] * 1e-6, lam2=data["lambda2_um"] * 1e-6,
-        grid_n=data["grid_N"],
-        eps0=mat["eps0_F_per_m"], q_value=q_value)
+        grid_n=data["grid_N"], eps0=mat["eps0_F_per_m"], q_value=q_value,
+        at_boundary=data["kappa_at_search_boundary"])
 
 
 def _obtain_design(args, cfg):

@@ -1,14 +1,15 @@
-"""Propagators for the coupled-wave equations.
+"""Propagators for the coupled-wave equations. Both RK4 kernels step cell by
+cell in the co-rotating frame A3 e^{-i phi}, under one step policy (_plan).
 
 Undepleted pump: the linear pair
     dA1/dz = -i kappa A3 e^{-i phi(z)},   dA3/dz = -i kappa A1 e^{+i phi(z)}
-with phi(z) the accumulated mismatch phase, evaluated by interpolating the
-profile's phi (never as dk*z, which is wrong for chirped profiles). Sweeps
-solve it exactly per profile cell; RK4 records trajectories and is the reference.
+with phi(z) the profile's accumulated mismatch phase, linear between nodes
+(never dk*z, which is wrong for chirped profiles). Sweeps solve it exactly
+per profile cell; RK4 records trajectories and is the reference.
 
 Depleted pump: the photon-flux-normalized three-wave system, which conserves
 the Manley-Rowe combinations exactly and reduces to the pair above as the
-signal/pump ratio vanishes. RK4 steps it cell by cell in the co-rotating frame.
+signal/pump ratio vanishes.
 """
 
 import cmath
@@ -75,55 +76,62 @@ def _check_steps(steps, kappa, delta_k, length):
             f"{max(required, 10)} (10 steps per 2*pi)")
 
 
+def _plan(mismatch, kappa, steps, record_stride):
+    """The step policy of both RK4 kernels: check steps, take sub =
+    ceil(steps / cells) equal steps in every profile cell, total in all, and
+    record every record_stride-th (default: about 2000 points)."""
+    _check_steps(steps, kappa, mismatch.delta_k, mismatch.length)
+    z, phi = mismatch.z.tolist(), mismatch.phi.tolist()
+    sub = -(-steps // (len(z) - 1))
+    total = sub * (len(z) - 1)
+    if record_stride is None:
+        record_stride = max(1, total // 2000)
+    return z, phi, sub, total, record_stride
+
+
+def _lab_frame(z, phi, j, k, sub, c3):
+    """(z, lab-frame a3 = c3 e^{i phi}) after k of the sub steps of cell j."""
+    f = k / sub
+    return (z[j] + f * (z[j + 1] - z[j]),
+            c3 * cmath.exp(1j * (phi[j] + f * (phi[j + 1] - phi[j]))))
+
+
 def simulate_undepleted(mismatch, kappa, steps=20000, initial=None,
                         record_stride=None):
-    """Integrate the undepleted two-wave pair with classical fixed-step RK4.
+    """Integrate the undepleted two-wave pair with classical RK4.
 
-    kappa is the per-wave coupling rate of the pair as written above.
+    kappa is the per-wave coupling rate of the pair as written above. In the
+    co-rotating frame c3 = a3 e^{-i phi} a cell is autonomous, a1' = -i kappa c3
+    and c3' = -i kappa a1 - i d c3 with its constant mismatch d. Steps as in
+    simulate_depleted: ceil(steps / cells) per cell; record_stride counts them.
     """
     if initial is None:
         initial = FieldState()
-    _check_steps(steps, kappa, mismatch.delta_k, mismatch.length)
-    if record_stride is None:
-        record_stride = max(1, steps // 2000)
+    z, phi, sub, total, record_stride = _plan(mismatch, kappa, steps, record_stride)
 
-    length = mismatch.length
-    h = length / steps
-    # exp(-i phi) on the half-step grid z = k h/2, k = 0..2*steps
-    zh = np.linspace(0.0, length, 2 * steps + 1)
-    e_fac = np.exp(-1j * np.interp(zh, mismatch.z, mismatch.phi)).tolist()
-    ck = -1j * kappa
+    kappa, a1 = float(kappa), complex(initial.a1)  # numpy scalars triple the cost
+    c3 = complex(initial.a3) * cmath.exp(-1j * phi[0])
+    rec = [(z[0], complex(initial.a3), a1)]
+    for j in range(len(z) - 1):
+        # K = -i kappa h and D = -i d h of the cell's step h; Kh, Dh give half steps
+        K, D = -1j * kappa * (z[j + 1] - z[j]) / sub, -1j * (phi[j + 1] - phi[j]) / sub
+        Kh, Dh = 0.5 * K, 0.5 * D
+        for n in range(j * sub + 1, j * sub + sub + 1):
+            h1a, h1c = Kh * c3, Kh * a1 + Dh * c3
+            t1, t3 = a1 + h1a, c3 + h1c
+            h2a, h2c = Kh * t3, Kh * t1 + Dh * t3
+            t1, t3 = a1 + h2a, c3 + h2c
+            k3a, k3c = K * t3, K * t1 + D * t3
+            t1, t3 = a1 + k3a, c3 + k3c
+            k4a, k4c = K * t3, K * t1 + D * t3
+            a1 += (h1a + 2.0 * h2a + k3a) / 3.0 + k4a / 6.0
+            c3 += (h1c + 2.0 * h2c + k3c) / 3.0 + k4c / 6.0
+            if n % record_stride == 0 or n == total:
+                rec.append(_lab_frame(z, phi, j, n - j * sub, sub, c3) + (a1,))
 
-    a1 = complex(initial.a1)
-    a3 = complex(initial.a3)
-    rec_z = [0.0]
-    rec_a1 = [a1]
-    rec_a3 = [a3]
-    for n in range(steps):
-        e0 = e_fac[2 * n]
-        em = e_fac[2 * n + 1]
-        e1 = e_fac[2 * n + 2]
-        k1a = ck * a3 * e0
-        k1b = ck * a1 / e0
-        t1, t3 = a1 + 0.5 * h * k1a, a3 + 0.5 * h * k1b
-        k2a = ck * t3 * em
-        k2b = ck * t1 / em
-        t1, t3 = a1 + 0.5 * h * k2a, a3 + 0.5 * h * k2b
-        k3a = ck * t3 * em
-        k3b = ck * t1 / em
-        t1, t3 = a1 + h * k3a, a3 + h * k3b
-        k4a = ck * t3 * e1
-        k4b = ck * t1 / e1
-        a1 = a1 + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        a3 = a3 + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-        if (n + 1) % record_stride == 0 or n == steps - 1:
-            rec_z.append((n + 1) * h)
-            rec_a1.append(a1)
-            rec_a3.append(a3)
-
-    eta = 0.0 if abs(initial.a1) == 0 else abs(a3) ** 2 / abs(initial.a1) ** 2
-    return FieldTrajectory(z=np.array(rec_z), a1=np.array(rec_a1),
-                           a3=np.array(rec_a3), a2=None, efficiency=float(eta))
+    rz, r3, r1 = (np.array(col) for col in zip(*rec))
+    eta = 0.0 if abs(initial.a1) == 0 else abs(c3) ** 2 / abs(initial.a1) ** 2
+    return FieldTrajectory(z=rz, a1=r1, a3=r3, a2=None, efficiency=float(eta))
 
 
 _CHUNK = 16  # points per pass; peak memory ~90 bytes per cell and point
@@ -133,8 +141,8 @@ def undepleted_efficiencies(z, phi, coupling):
     """Exact undepleted |A3(L)|^2, A1(0) = 1, of P points: phi (P, N) on the
     node grid z, (P, N) or (N,), at the P lab-frame pair couplings.
 
-    phi is linear between nodes, as simulate_undepleted interpolates it, so
-    the mismatch d is constant on each cell and, in the frame
+    phi is linear between nodes, as both RK4 kernels take it, so the
+    mismatch d is constant on each cell and, in the frame
     (A1 e^{i phi/2}, A3 e^{-i phi/2}), a cell of width h is the SU(2) rotation
     cos(W h) + i sin(W h)/W [[d/2, -kappa], [-kappa, -d/2]], W^2 = kappa^2 +
     d^2/4 (Suchowski et al., PRA 78, 063821, 2008), held as (a, b) of
@@ -184,18 +192,13 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None,
         raise PropagationError("depleted mode needs an explicit pump amplitude a2")
     if not all(np.isfinite([abs(initial.a1), abs(initial.a2), abs(initial.a3)])):
         raise PropagationError("non-finite initial amplitudes")
-    _check_steps(steps, kappa, mismatch.delta_k, mismatch.length)
-    z, phi = mismatch.z.tolist(), mismatch.phi.tolist()
-    sub = -(-steps // (len(z) - 1))
-    total = sub * (len(z) - 1)
-    if record_stride is None:
-        record_stride = max(1, total // 2000)
+    z, phi, sub, total, record_stride = _plan(mismatch, kappa, steps, record_stride)
 
     kt = float(kappa / abs(initial.a2) if initial.a2 else kappa)
     # Python complex throughout: one numpy scalar in the state triples the cost
     a1, a2 = complex(initial.a1), complex(initial.a2)
     c3 = complex(initial.a3) * cmath.exp(-1j * phi[0])
-    rec = [(z[0], a1, a2, complex(initial.a3))]
+    rec = [(z[0], complex(initial.a3), a1, a2)]
     for j in range(len(z) - 1):
         # K = -i kt h and D = -i d h of the cell's step h; Kh, Dh give half steps
         K, D = -1j * kt * (z[j + 1] - z[j]) / sub, -1j * (phi[j + 1] - phi[j]) / sub
@@ -216,10 +219,8 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None,
             a2 += (h1b + 2.0 * h2b + k3b) / 3.0 + k4b / 6.0
             c3 += (h1c + 2.0 * h2c + k3c) / 3.0 + k4c / 6.0
             if n % record_stride == 0 or n == total:
-                f = (n - j * sub) / sub
-                rec.append((z[j] + f * (z[j + 1] - z[j]), a1, a2,
-                            c3 * cmath.exp(1j * (phi[j] + f * (phi[j + 1] - phi[j])))))
+                rec.append(_lab_frame(z, phi, j, n - j * sub, sub, c3) + (a1, a2))
 
-    rz, r1, r2, r3 = (np.array(col) for col in zip(*rec))
+    rz, r3, r1, r2 = (np.array(col) for col in zip(*rec))
     eta = 0.0 if abs(initial.a1) == 0 else abs(c3) ** 2 / abs(initial.a1) ** 2
     return FieldTrajectory(z=rz, a1=r1, a3=r3, a2=r2, efficiency=float(eta))

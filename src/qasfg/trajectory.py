@@ -17,7 +17,7 @@ import numpy as np
 
 __all__ = [
     "TrajectoryError", "TrajectorySpec", "AngleProfiles", "MismatchProfile",
-    "theta_profile", "beta_profile", "angle_profiles", "delta_k_profile",
+    "beta_profile", "angle_profiles", "delta_k_profile",
     "boundary_check",
 ]
 
@@ -108,16 +108,12 @@ class MismatchProfile:
     length: float
 
 
-def theta_profile(spec):
+def _theta(k, L, grid_n):
     """Closed-form polynomial trajectory: (z, theta, theta', theta'').
 
     theta(z) = kappa z - (kappa L - pi)(10 s^3 - 15 s^4 + 6 s^5), s = z/L,
     with derivatives evaluated analytically.
     """
-    return _theta(spec.kappa, spec.length, spec.grid_n)
-
-
-def _theta(k, L, grid_n):
     z = np.linspace(0.0, L, grid_n)
     s = z / L
     d = k * L - np.pi

@@ -108,6 +108,23 @@ def test_simulate_roundtrip_through_design_file(tmp_path):
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
 
 
+def test_design_file_keeps_search_boundary_flag(tmp_path):
+    # kappa* of the 1 mm design lies above this window, so the search stops
+    # at its edge; a design file must carry that flag into later runs
+    cfg = write_config(tmp_path, {"design": {"kappa_min_per_cm": 60.0,
+                                             "kappa_max_per_cm": 65.0}})
+    out = tmp_path / "out"
+    assert main(["design", "--config", cfg, "--out", str(out / "d")]) == 0
+    from_file = ["--design", str(out / "d" / "design.json")]
+    blocks = []
+    for name, extra in (("config", []), ("file", from_file)):
+        assert main(["simulate", "--config", cfg, "--out", str(out / name)] + extra) == 0
+        summary = json.loads((out / name / "simulate_summary.json").read_text())
+        blocks.append(summary["design"])
+    assert blocks[0]["kappa_at_search_boundary"] is True
+    assert blocks[1] == blocks[0]
+
+
 def test_simulate_depleted_mode(tmp_path):
     cfg = write_config(tmp_path, {"simulation": {"steps": 6000, "depleted": True,
                                                  "signal_pump_ratio": 1.0}})
@@ -250,12 +267,16 @@ def test_integer_and_boolean_keys_typed(tmp_path, capsys, block, key, value):
 
 
 VALID_DESIGN = {
-    "kappa_rad_per_m": 7510.0, "L_mm": 1.0, "target": "deltak", "grid_N": 1001,
-    "lambda1_um": 3.0, "lambda2_um": 1.064,
+    "version": __version__, "kappa_rad_per_m": 7510.0, "L_mm": 1.0,
+    "target": "deltak", "grid_N": 1001, "lambda1_um": 3.0, "lambda2_um": 1.064,
+    "kappa_at_search_boundary": False,
     "material": {"dispersion_set": "gayer2008_mgo_cln_e", "temperature_C": 25.0,
                  "chi2_m_per_V": 2.5e-11, "duty_cycle": 0.5,
                  "eps0_F_per_m": 8.85e-12},
 }
+
+
+MISSING = object()  # an edit value that drops the key
 
 
 @pytest.mark.parametrize("edit,named", [
@@ -272,6 +293,9 @@ VALID_DESIGN = {
     ({"q_value": "abc"}, "q_value"),
     ({"grid_N": 1000}, "bad value for design file key grid_N"),
     ({"grid_N": 999}, "bad value for design file key grid_N"),
+    ({"version": MISSING}, "lacks the key version"),
+    ({"kappa_at_search_boundary": MISSING}, "lacks the key kappa_at_search_boundary"),
+    ({"kappa_at_search_boundary": 0}, "kappa_at_search_boundary"),
 ])
 def test_design_file_fields_typed(tmp_path, capsys, edit, named):
     cfg = write_config(tmp_path)
@@ -280,7 +304,8 @@ def test_design_file_fields_typed(tmp_path, capsys, edit, named):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--design", str(good)]) == 0
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(dict(VALID_DESIGN, **edit)))
+    edited = dict(VALID_DESIGN, **edit)
+    bad.write_text(json.dumps({k: v for k, v in edited.items() if v is not MISSING}))
     capsys.readouterr()
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--design", str(bad)]) == 2

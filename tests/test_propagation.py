@@ -62,8 +62,9 @@ def test_flux_conservation_along_design(design_dk):
 
 
 def test_rk4_measured_order():
+    # one profile cell, so the requested 40 and 80 steps are the steps taken
     kappa = 1.3 / L
-    profile = constant_mismatch(0.0, L)
+    profile = constant_mismatch(0.0, L, grid_n=2)
     exact = np.sin(1.3) ** 2
     e1 = abs(simulate_undepleted(profile, kappa, steps=40).efficiency - exact)
     e2 = abs(simulate_undepleted(profile, kappa, steps=80).efficiency - exact)
@@ -72,7 +73,8 @@ def test_rk4_measured_order():
 
 
 def test_frame_equivalence_constant_mismatch():
-    # phi-interpolation path vs literal exp(+-i dk z) factors
+    # co-rotating steps per profile cell vs a lab-frame RK4 with literal
+    # exp(+-i dk z) factors (3000 steps; the kernel rounds up to 4000)
     dk, kappa, steps = 5000.0, 3000.0, 3000
     profile = constant_mismatch(dk, L)
     traj = simulate_undepleted(profile, kappa, steps=steps)

@@ -1,6 +1,7 @@
 """Property tests: scale covariance of the sensitivities and of kappa*, the
-numpy Simpson rules against scipy's, the memoised kappa*L scan, and the
-depleted-pump integrator (Manley-Rowe, small-signal limit, step rounding)."""
+numpy Simpson rules against scipy's, the memoised kappa*L scan, and both RK4
+kernels (Manley-Rowe and unitarity, agreement with the exact undepleted
+solution, step rounding)."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
 from qasfg.experiments import LAB_FRAME_COUPLING
-from qasfg.propagation import FieldState, simulate_depleted, undepleted_efficiencies
+from qasfg.propagation import (FieldState, simulate_depleted, simulate_undepleted,
+                               undepleted_efficiencies)
 from qasfg.sensitivity import TARGETS, _unit_scan, optimize_kappa, q_deltak, q_kappa
 from qasfg.trajectory import (TrajectorySpec, _cumulative_simpson, _simpson,
                               angle_profiles, delta_k_profile)
@@ -102,6 +104,9 @@ def test_depleted_manley_rowe(length, kl, ratio):
     p1, p2, p3 = (np.abs(a) ** 2 for a in (traj.a1, traj.a2, traj.a3))
     assert np.abs(p1 + p3 - ratio ** 2).max() <= 1e-12
     assert np.abs(p2 + p3 - 1.0).max() <= 1e-12
+    # the undepleted pair is unitary
+    traj = simulate_undepleted(mism, coupling)
+    assert np.abs(np.abs(traj.a1) ** 2 + np.abs(traj.a3) ** 2 - 1.0).max() <= 1e-12
 
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
@@ -111,6 +116,7 @@ def test_depleted_small_signal_limit(length, kl):
     weak = simulate_depleted(mism, coupling, initial=FieldState(1e-3, 0.0, 1.0))
     exact = undepleted_efficiencies(mism.z, mism.phi, coupling)[0]
     assert abs(weak.efficiency - exact) <= 1e-9
+    assert abs(simulate_undepleted(mism, coupling).efficiency - exact) <= 1e-12
 
 
 @settings(max_examples=4, deadline=None, derandomize=True, database=None)
@@ -123,4 +129,8 @@ def test_depleted_steps_round_up_per_cell(length, kl, ratio):
             for steps in (19999, 20000)]
     assert runs[0].efficiency == runs[1].efficiency
     for name in ("z", "a1", "a2", "a3"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+    runs = [simulate_undepleted(mism, coupling, steps=steps) for steps in (19999, 20000)]
+    assert runs[0].efficiency == runs[1].efficiency
+    for name in ("z", "a1", "a3"):
         assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))

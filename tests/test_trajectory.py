@@ -5,7 +5,7 @@ import pytest
 
 from qasfg.trajectory import (
     TrajectoryError, TrajectorySpec, angle_profiles, beta_profile,
-    boundary_check, delta_k_profile, theta_profile,
+    boundary_check, delta_k_profile,
 )
 
 KAPPA, LENGTH = 7623.0, 1e-3
