@@ -289,7 +289,7 @@ def cmd_simulate(args):
         columns += [traj.a2.real, traj.a2.imag]
     _write_csv(os.path.join(outdir, "trajectory.csv"), cfg_hash, names, *columns)
     _write_json(os.path.join(outdir, "simulate_summary.json"),
-                {"eta": traj.efficiency, "steps": steps,
+                {"eta": traj.efficiency, "steps": steps, "steps_taken": traj.steps,
                  "depleted": bool(sim["depleted"]),
                  "signal_pump_ratio": sim["signal_pump_ratio"] if sim["depleted"] else None,
                  "design": design.provenance},

@@ -46,6 +46,7 @@ class FieldTrajectory:
     a3: np.ndarray
     a2: np.ndarray | None
     efficiency: float
+    steps: int  # RK4 steps taken: the requested steps rounded up per cell
 
 
 def constant_mismatch(delta_k, length, grid_n=4001):
@@ -131,7 +132,8 @@ def simulate_undepleted(mismatch, kappa, steps=20000, initial=None,
 
     rz, r3, r1 = (np.array(col) for col in zip(*rec))
     eta = 0.0 if abs(initial.a1) == 0 else abs(c3) ** 2 / abs(initial.a1) ** 2
-    return FieldTrajectory(z=rz, a1=r1, a3=r3, a2=None, efficiency=float(eta))
+    return FieldTrajectory(z=rz, a1=r1, a3=r3, a2=None, efficiency=float(eta),
+                           steps=total)
 
 
 _CHUNK = 16  # points per pass; peak memory ~90 bytes per cell and point
@@ -223,4 +225,5 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None,
 
     rz, r3, r1, r2 = (np.array(col) for col in zip(*rec))
     eta = 0.0 if abs(initial.a1) == 0 else abs(c3) ** 2 / abs(initial.a1) ** 2
-    return FieldTrajectory(z=rz, a1=r1, a3=r3, a2=r2, efficiency=float(eta))
+    return FieldTrajectory(z=rz, a1=r1, a3=r3, a2=r2, efficiency=float(eta),
+                           steps=total)

@@ -5,6 +5,10 @@ Two phase conventions coexist (see trajectory.AngleProfiles): the selector
 phase m_select ranks designs and locates the reference optimal couplings;
 the term-wise phase m feeds the quantitative second-order deficit
 predictions, which match direct coupled-wave simulation.
+
+q has one formula (_q_integral). q_deltak / q_kappa apply it to an
+AngleProfiles; the kappa* search applies it through the kernel _q, which
+builds only what q reads and gives the same numbers.
 """
 
 from dataclasses import dataclass
@@ -12,8 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .trajectory import (TrajectoryError, TrajectorySpec, _angles,
-                         _check_grid_n, _simpson, angle_profiles)
+from .trajectory import _check_grid_n, _select_phase, _simpson, _theta
 
 __all__ = [
     "OptimizeResult", "q_deltak", "q_kappa", "perturbation_coefficients",
@@ -45,16 +48,50 @@ class OptimizeResult:
     trace_q: np.ndarray
 
 
+def _q_integral(target, m_select, sin_theta, theta_dot, z):
+    """(1/4)|int e^{i m_select} g dz|^2 over the last axis, with g = sin(theta)
+    for the deltak target and 2 theta' sin^2(theta) for kappa, as
+    (1/4)(Re^2 + Im^2) of the cos and sin integrals. The inputs are not
+    modified."""
+    if target == "deltak":
+        g = sin_theta
+    else:
+        g = np.multiply(sin_theta, sin_theta)
+        g *= theta_dot
+        g *= 2.0
+    y = np.cos(m_select)
+    y *= g
+    re = _simpson(y, z)
+    np.sin(m_select, out=y)
+    y *= g
+    im = _simpson(y, z)
+    return 0.25 * (re * re + im * im)
+
+
 def q_deltak(angles):
     """Mismatch-error sensitivity (1/4)|int e^{i m_select} sin(theta) dz|^2, m^2."""
-    f = np.exp(1j * angles.m_select) * np.sin(angles.theta)
-    return 0.25 * np.abs(_simpson(f, angles.z)) ** 2
+    return _q_integral("deltak", angles.m_select, np.sin(angles.theta),
+                       angles.theta_dot, angles.z)
 
 
 def q_kappa(angles):
     """Coupling-error sensitivity (1/4)|int e^{i m_select} 2 theta' sin^2(theta) dz|^2."""
-    f = np.exp(1j * angles.m_select) * 2.0 * angles.theta_dot * np.sin(angles.theta) ** 2
-    return 0.25 * np.abs(_simpson(f, angles.z)) ** 2
+    return _q_integral("kappa", angles.m_select, np.sin(angles.theta),
+                       angles.theta_dot, angles.z)
+
+
+def _q(k, length, grid_n, target):
+    """q of the target for the coupling k, a float or an (R, 1) column of
+    couplings (one row each), and whether theta stays inside (0, pi) on the
+    interior. The same numbers as q_deltak / q_kappa of angle_profiles, from
+    only what q reads: theta, theta', theta'', sin(theta) once, cos(beta),
+    m_select and the target integrand. q of a row whose theta leaves (0, pi)
+    is meaningless."""
+    z, theta, theta_dot, theta_ddot = _theta(k, length, grid_n)
+    sin_theta = np.sin(theta, out=theta)
+    inside = np.all(sin_theta[..., 1:-1] > 0.0, axis=-1)
+    m_select = _select_phase(k, z, theta_dot, theta_ddot, sin_theta)
+    return _q_integral(target, m_select, sin_theta, theta_dot, z), inside
 
 
 def perturbation_coefficients(angles):
@@ -96,15 +133,13 @@ def eta_from_period_error(rel_error, period):
     return float(out) if np.ndim(period) == 0 else out
 
 
-def _qfun(target):
-    return q_deltak if target == "deltak" else q_kappa
-
-
-def _q_eval(kappa, length, grid_n, qfun):
-    try:
-        return qfun(angle_profiles(TrajectorySpec(kappa, length, grid_n)))
-    except TrajectoryError:
+def _q_eval(kappa, length, grid_n, target):
+    """q at one coupling of the real problem, +inf where there is no valid
+    trajectory (kappa*L <= pi, or theta leaving (0, pi))."""
+    if kappa * length <= np.pi:
         return np.inf
+    q, inside = _q(kappa, length, grid_n, target)
+    return q if inside else np.inf
 
 
 @lru_cache(maxsize=64)
@@ -113,17 +148,19 @@ def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
     x = linspace(x_lo, x_hi, scan_points), +inf where theta leaves (0, pi).
 
     q is scale-free: q_deltak(kappa, L) = L^2 Q(kappa L) and
-    q_kappa(kappa, L) = Q(kappa L), so one scan serves every length. The rows
-    are solved SCAN_SAMPLES at a time, which bounds memory for any grid_n.
-    The arrays are shared between callers and therefore read-only.
+    q_kappa(kappa, L) = Q(kappa L), so one scan serves every length. Each
+    row is the kernel _q at x, bit for bit what _q gives for x alone: theta
+    from the closed-form trajectory, then only sin(theta), the selector
+    phase and the target integral, never beta, alpha or m. The rows are
+    solved SCAN_SAMPLES at a time, which bounds memory for any grid_n. The
+    arrays are shared between callers and therefore read-only.
     """
-    qfun = _qfun(target)
     xs = np.linspace(x_lo, x_hi, scan_points)
     qs = np.empty(scan_points)
     rows = max(1, SCAN_SAMPLES // grid_n)
     for i in range(0, scan_points, rows):
-        angles, inside = _angles(xs[i:i + rows, None], 1.0, grid_n)
-        qs[i:i + rows] = np.where(inside, qfun(angles), np.inf)
+        q, inside = _q(xs[i:i + rows, None], 1.0, grid_n, target)
+        qs[i:i + rows] = np.where(inside, q, np.inf)
     xs.flags.writeable = qs.flags.writeable = False
     return xs, qs
 
@@ -146,7 +183,6 @@ def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     _check_grid_n(grid_n)
-    qfun = _qfun(target)
     if search_range is None:
         x_lo, x_hi = KL_SEARCH_MIN, KL_SEARCH_MAX
     else:
@@ -174,20 +210,20 @@ def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
     inv_gr = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_gr * (b - a)
     d = a + inv_gr * (b - a)
-    qc = _q_eval(c, length, grid_n, qfun)
-    qd = _q_eval(d, length, grid_n, qfun)
+    qc = _q_eval(c, length, grid_n, target)
+    qd = _q_eval(d, length, grid_n, target)
     while b - a > tol:
         if qc < qd:
             b, d, qd = d, c, qc
             c = b - inv_gr * (b - a)
-            qc = _q_eval(c, length, grid_n, qfun)
+            qc = _q_eval(c, length, grid_n, target)
         else:
             a, c, qc = c, d, qd
             d = a + inv_gr * (b - a)
-            qd = _q_eval(d, length, grid_n, qfun)
+            qd = _q_eval(d, length, grid_n, target)
     kappa_opt = 0.5 * (a + b)
     return OptimizeResult(
         kappa_opt=float(kappa_opt),
-        q_opt=float(_q_eval(kappa_opt, length, grid_n, qfun)),
+        q_opt=float(_q_eval(kappa_opt, length, grid_n, target)),
         target=target, length=length, at_boundary=at_boundary,
         trace_kappa=ks, trace_q=qs)

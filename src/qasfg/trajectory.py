@@ -112,7 +112,8 @@ def _theta(k, L, grid_n):
     """Closed-form polynomial trajectory: (z, theta, theta', theta'').
 
     theta(z) = kappa z - (kappa L - pi)(10 s^3 - 15 s^4 + 6 s^5), s = z/L,
-    with derivatives evaluated analytically.
+    with derivatives evaluated analytically. k is a float, or an (R, 1)
+    column of couplings with one trajectory per row.
     """
     z = np.linspace(0.0, L, grid_n)
     s = z / L
@@ -134,58 +135,65 @@ def beta_profile(kappa, theta_dot):
     return np.arcsin(np.clip(sin_beta, -1.0, 1.0))
 
 
+def _cos_beta(k, theta_dot):
+    """cos(beta) = sqrt(1 - (theta'/kappa)^2) >= 0, clipped at 0."""
+    c = theta_dot / k
+    np.multiply(c, c, out=c)
+    np.subtract(1.0, c, out=c)
+    np.maximum(c, 0.0, out=c)
+    return np.sqrt(c, out=c)
+
+
+def _select_phase(k, z, theta_dot, theta_ddot, sin_theta):
+    """Selector phase m_select: the running integral of the single-fraction
+    rate (beta' + theta' cot beta)/sin(theta). With beta' = -theta''/(kappa
+    cos beta) and theta' cot beta = -kappa cos beta the rate is
+    -(theta''/(kappa cos beta) + kappa cos beta)/sin(theta). Its 1/z endpoint
+    divergence is clipped to the neighbouring interior value (the q
+    integrands vanish there, and the accumulated phase is grid-stable; see
+    tests). k is a float or an (R, 1) column, one trajectory per row."""
+    rate = _cos_beta(k, theta_dot)
+    rate *= -k
+    inner = rate[..., 1:-1]
+    inner += theta_ddot[..., 1:-1] / inner
+    inner /= sin_theta[..., 1:-1]
+    rate[..., 0], rate[..., -1] = rate[..., 1], rate[..., -2]
+    return _cumulative_simpson(rate, z)
+
+
 def angle_profiles(spec):
     """Build the full sampled trajectory for a valid spec."""
-    angles, inside = _angles(spec.kappa, spec.length, spec.grid_n)
-    if not inside:
-        raise TrajectoryError(
-            f"theta leaves (0, pi) on the interior for kappa*L = "
-            f"{spec.kappa * spec.length:.4f}; the phase integrand is singular "
-            "and the profile is invalid")
-    return angles
-
-
-def _angles(k, L, grid_n):
-    """Trajectory for the coupling k on one grid, and whether theta stays
-    inside (0, pi) on the interior. k is a float, or an (R, 1) column of
-    couplings whose trajectories fill the rows of every array (the batched
-    kappa scan of sensitivity.optimize_kappa); the flag is then per row.
-    The phases of a row whose theta leaves (0, pi) are meaningless."""
-    z, theta, theta_dot, theta_ddot = _theta(k, L, grid_n)
+    k, L = spec.kappa, spec.length
+    z, theta, theta_dot, theta_ddot = _theta(k, L, spec.grid_n)
     beta = beta_profile(k, theta_dot)
-    cos_beta = np.sqrt(np.clip(1.0 - (theta_dot / k) ** 2, 0.0, None))
+    cos_beta = _cos_beta(k, theta_dot)
     # sqrt(60 (kL - pi) / (k L^3)); |dk| at the endpoints is twice this.
     d_edge = np.sqrt(60.0 * (k * L - np.pi) / (k * L ** 3))
     sin_theta = np.sin(theta)
-    inside = np.all(sin_theta[..., 1:-1] > 0.0, axis=-1)
+    if not np.all(sin_theta[1:-1] > 0.0):
+        raise TrajectoryError(
+            f"theta leaves (0, pi) on the interior for kappa*L = {k * L:.4f}; "
+            "the phase integrand is singular and the profile is invalid")
 
     # beta' = -theta''/(kappa cos beta); removable 0/0 at the endpoints.
     beta_dot = np.empty_like(theta)
-    beta_dot[..., 1:-1] = -theta_ddot[..., 1:-1] / (k * cos_beta[..., 1:-1])
-    beta_dot[..., :1], beta_dot[..., -1:] = d_edge, -d_edge
+    beta_dot[1:-1] = -theta_ddot[1:-1] / (k * cos_beta[1:-1])
+    beta_dot[0], beta_dot[-1] = d_edge, -d_edge
 
     # theta' cot(beta) = -kappa cos(beta) identically (safe where theta'=0).
     term = np.empty_like(theta)
-    term[..., 1:-1] = -k * cos_beta[..., 1:-1] / sin_theta[..., 1:-1]
-    term[..., :1] = term[..., -1:] = -d_edge
+    term[1:-1] = -k * cos_beta[1:-1] / sin_theta[1:-1]
+    term[0] = term[-1] = -d_edge
 
     rate = beta_dot + term
     alpha = 0.5 * _cumulative_simpson(rate, z)
     m = 2.0 * alpha - beta
-
-    # Single-fraction grouping; its 1/z endpoint divergence is clipped to the
-    # neighbouring interior value (the q integrands vanish there, and the
-    # accumulated phase is grid-stable; see tests).
-    rate_sel = np.empty_like(theta)
-    rate_sel[..., 1:-1] = ((beta_dot[..., 1:-1] + term[..., 1:-1] * sin_theta[..., 1:-1])
-                           / sin_theta[..., 1:-1])
-    rate_sel[..., 0], rate_sel[..., -1] = rate_sel[..., 1], rate_sel[..., -2]
-    m_select = _cumulative_simpson(rate_sel, z)
+    m_select = _select_phase(k, z, theta_dot, theta_ddot, sin_theta)
 
     return AngleProfiles(
         kappa=k, length=L, z=z, theta=theta, theta_dot=theta_dot,
         theta_ddot=theta_ddot, beta=beta, beta_dot=beta_dot, alpha=alpha,
-        m=m, m_select=m_select, edge_rate=d_edge), inside
+        m=m, m_select=m_select, edge_rate=d_edge)
 
 
 def delta_k_profile(angles):

@@ -137,6 +137,16 @@ def test_simulate_depleted_mode(tmp_path):
     assert header.endswith("re_A2,im_A2")
 
 
+@pytest.mark.parametrize("depleted", [False, True])
+def test_simulate_summary_records_steps_taken(tmp_path, depleted):
+    # 1500 steps on 1000 cells round up to 2 steps per cell
+    cfg = write_config(tmp_path, {"simulation": {"steps": 1500, "depleted": depleted}})
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    summary = json.loads(open(os.path.join(out, "simulate_summary.json")).read())
+    assert (summary["steps"], summary["steps_taken"]) == (1500, 2000)
+
+
 def test_simulate_missing_design_file(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),

@@ -12,7 +12,7 @@ from qasfg.sensitivity import (
     perturbation_coefficients, q_deltak, q_kappa,
 )
 from qasfg.trajectory import (MismatchProfile, TrajectoryError, TrajectorySpec,
-                              angle_profiles, delta_k_profile)
+                              _theta, angle_profiles, delta_k_profile)
 
 L = 1e-3
 
@@ -70,6 +70,35 @@ def test_optimizer_deterministic():
     r2 = optimize_kappa(L, target="deltak")
     assert r1.kappa_opt == r2.kappa_opt
     assert r1.q_opt == r2.q_opt
+
+
+# kappa* of the 1 mm acceptance designs (75.096 / 61.890 /cm as printed), as
+# the search found them with q of full angle_profiles on every scan row and
+# golden-section step; the q kernel must reproduce them bit for bit.
+KAPPA_OPT_1MM = {"deltak": 7509.582393514355, "kappa": 6189.019463933282}
+
+
+@pytest.mark.parametrize("target", ["deltak", "kappa"])
+def test_acceptance_kappa_opt_bit_for_bit(target, design_dk, design_k):
+    design = design_dk if target == "deltak" else design_k
+    assert design.kappa == optimize_kappa(L, target=target).kappa_opt
+    assert design.kappa == KAPPA_OPT_1MM[target]
+
+
+@pytest.mark.parametrize("target", ["deltak", "kappa"])
+def test_design_mismatch_is_the_theta_path(target, design_dk, design_k):
+    # delta_k of a built design, recomputed from the closed-form trajectory
+    design = design_dk if target == "deltak" else design_k
+    k, length = design.kappa, design.length
+    z, theta, theta_dot, theta_ddot = _theta(k, length, design.mismatch.z.size)
+    cos_beta = np.sqrt(np.clip(1.0 - (theta_dot / k) ** 2, 0.0, None))
+    edge = np.sqrt(60.0 * (k * length - np.pi) / (k * length ** 3))
+    dk = np.empty_like(z)
+    dk[1:-1] = (theta_ddot[1:-1] / (k * cos_beta[1:-1])
+                - k * (np.cos(theta[1:-1]) / np.sin(theta[1:-1])) * cos_beta[1:-1])
+    dk[0], dk[-1] = -2.0 * edge, 2.0 * edge
+    assert np.array_equal(design.mismatch.z, z)
+    assert np.array_equal(design.mismatch.delta_k, dk)
 
 
 def test_optimizer_scaling_law():
