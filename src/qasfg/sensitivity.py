@@ -11,6 +11,8 @@ AngleProfiles; the kappa* search applies it through the kernel _q, which
 builds only what q reads and gives the same numbers.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,8 +34,9 @@ TARGETS = ("deltak", "kappa")
 KL_SEARCH_MIN = 1.05 * np.pi
 KL_SEARCH_MAX = 10.0
 
-# Grid samples per row block of the batched kappa*L scan: about 0.5 MB per
-# (rows, grid_n) float array whatever grid_n is.
+# Grid samples in the row blocks of the batched kappa*L scan that are solved
+# at once, summed over all scan workers: about 0.5 MB per (rows, grid_n)
+# float array in total whatever grid_n and the worker count are.
 SCAN_SAMPLES = 1 << 16
 
 
@@ -142,6 +145,25 @@ def _q_eval(kappa, length, grid_n, target):
     return q if inside else np.inf
 
 
+def _scan_workers(blocks):
+    """Threads for a scan of this many serial row blocks: the CPUs of the
+    process's affinity mask (taskset sets it), at most one per block."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, blocks)
+
+
+def _solve_blocks(xs, qs, starts, rows, grid_n, target):
+    """Fill qs[i:i + rows] for each block start i with the unit-length q of
+    xs[i:i + rows], +inf where theta leaves (0, pi). Calls only private
+    kernels, so helper threads never enter a traced public function."""
+    for i in starts:
+        q, inside = _q(xs[i:i + rows, None], 1.0, grid_n, target)
+        qs[i:i + rows] = np.where(inside, q, np.inf)
+
+
 @lru_cache(maxsize=64)
 def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
     """Sensitivity Q(x) of the unit-length problem at the couplings
@@ -151,16 +173,43 @@ def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
     q_kappa(kappa, L) = Q(kappa L), so one scan serves every length. Each
     row is the kernel _q at x, bit for bit what _q gives for x alone: theta
     from the closed-form trajectory, then only sin(theta), the selector
-    phase and the target integral, never beta, alpha or m. The rows are
-    solved SCAN_SAMPLES at a time, which bounds memory for any grid_n. The
-    arrays are shared between callers and therefore read-only.
+    phase and the target integral, never beta, alpha or m.
+
+    The rows are solved in blocks of SCAN_SAMPLES // (workers * grid_n)
+    rows, on the calling thread and one helper thread per further CPU of
+    the affinity mask, at most one worker per SCAN_SAMPLES block. numpy
+    releases the GIL in these passes. Worker w solves the block starts
+    starts[w::workers] into its own slices of qs, so SCAN_SAMPLES bounds
+    the live temporaries of all workers together and every row is the same
+    whatever the worker count. With one worker no thread is started. A
+    worker's exception is raised here after every helper has finished, so
+    no partial scan is cached. The arrays are shared between callers and
+    therefore read-only.
     """
     xs = np.linspace(x_lo, x_hi, scan_points)
     qs = np.empty(scan_points)
-    rows = max(1, SCAN_SAMPLES // grid_n)
-    for i in range(0, scan_points, rows):
-        q, inside = _q(xs[i:i + rows, None], 1.0, grid_n, target)
-        qs[i:i + rows] = np.where(inside, q, np.inf)
+    workers = _scan_workers(-(-scan_points // max(1, SCAN_SAMPLES // grid_n)))
+    rows = max(1, SCAN_SAMPLES // (workers * grid_n))
+    starts = range(0, scan_points, rows)
+    errors = []
+
+    def helper(w):
+        try:
+            _solve_blocks(xs, qs, starts[w::workers], rows, grid_n, target)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=helper, args=(w,))
+               for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        _solve_blocks(xs, qs, starts[0::workers], rows, grid_n, target)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
     xs.flags.writeable = qs.flags.writeable = False
     return xs, qs
 

@@ -1,19 +1,24 @@
 """Property tests: scale covariance of the sensitivities and of kappa*, the
 numpy Simpson rules against scipy's, the memoised kappa*L scan and its rows
-against the single-row q kernel and angle_profiles, and both RK4 kernels
-(Manley-Rowe and unitarity, agreement with the exact undepleted solution,
-step rounding)."""
+against the single-row q kernel and angle_profiles for any scan worker
+count, both RK4 kernels (Manley-Rowe and unitarity, agreement with the exact
+undepleted solution, step rounding), profile-reversal reciprocity of the
+exact undepleted efficiency, and the FWHM and tolerance-interval
+invariants."""
+
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
-from qasfg.experiments import LAB_FRAME_COUPLING
+from qasfg.experiments import LAB_FRAME_COUPLING, fwhm_interval, tolerance_interval
 from qasfg.propagation import (FieldState, simulate_depleted, simulate_undepleted,
                                undepleted_efficiencies)
-from qasfg.sensitivity import (KL_SEARCH_MIN, TARGETS, _q, _unit_scan, optimize_kappa,
-                               q_deltak, q_kappa)
+from qasfg.sensitivity import (KL_SEARCH_MIN, SCAN_SAMPLES, TARGETS, _q, _unit_scan,
+                               optimize_kappa, q_deltak, q_kappa)
 from qasfg.trajectory import (TrajectoryError, TrajectorySpec, _cumulative_simpson,
                               _simpson, angle_profiles, delta_k_profile)
 
@@ -24,8 +29,9 @@ lengths = st.floats(0.2e-3, 20e-3)
 targets = st.sampled_from(TARGETS)
 # Few, reproducible examples: each one builds trajectories or runs a search.
 few = settings(max_examples=8, deadline=None, derandomize=True, database=None)
-# The RK4 properties do not shrink: each shrink step reruns 4001-node
-# propagations, which turns one failing example into minutes of reruns.
+# The RK4 and scan worker-count properties do not shrink: each shrink step
+# reruns 4001-node propagations or several scans, which turns one failing
+# example into minutes of reruns.
 no_shrink = tuple(p for p in Phase if p is not Phase.shrink)
 
 
@@ -109,6 +115,38 @@ def test_scan_rows_are_the_single_row_kernel(x_lo, width, target, grid_n):
         np.testing.assert_allclose(q, ref, rtol=1e-13)
 
 
+@pytest.mark.parametrize("grid_n", [1001, 4001])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None,
+          phases=no_shrink)
+@given(x_lo=st.floats(KL_SEARCH_MIN, 15.0), width=st.floats(0.5, 6.0),
+       target=targets)
+def test_scan_is_serial_for_any_worker_count(grid_n, x_lo, width, target):
+    x_hi = x_lo + width
+    serial = []
+    for x in np.linspace(x_lo, x_hi, 400):
+        q, inside = _q(x, 1.0, grid_n, target)
+        serial.append(q if inside else np.inf)
+    blocks = -(-400 // (SCAN_SAMPLES // grid_n))
+    kappas = set()
+    # 32 CPUs is more than the blocks of either grid, so the count is capped
+    for cpus in (1, 2, 3, 32):
+        started = []
+        start = threading.Thread.start
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            mp.setattr(threading.Thread, "start",
+                       lambda self: (started.append(self), start(self)))
+            _unit_scan.cache_clear()
+            _, qs = _unit_scan(target, grid_n, x_lo, x_hi, 400)
+            r = optimize_kappa(REF_LENGTH, target=target, grid_n=grid_n,
+                               search_range=(x_lo / REF_LENGTH, x_hi / REF_LENGTH))
+        assert len(started) == min(cpus, blocks) - 1
+        assert not any(t.is_alive() for t in started)
+        assert np.array_equal(qs, serial)
+        kappas.add((r.kappa_opt, r.q_opt))
+    assert len(kappas) == 1
+
+
 designed_kl = st.floats(5.5, 9.0)
 ratios = st.floats(0.01, 1.2)
 
@@ -160,3 +198,53 @@ def test_depleted_steps_round_up_per_cell(length, kl, ratio):
     assert runs[0].efficiency == runs[1].efficiency
     for name in ("z", "a1", "a3"):
         assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+
+
+@few
+@given(length=lengths, kl=designed_kl,
+       increments=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=400),
+       walk_kl=st.floats(0.0, 20.0))
+def test_undepleted_profile_reversal_reciprocity(length, kl, increments, walk_kl):
+    # each cell's SU(2) matrix is symmetric, so the product over the reversed
+    # profile is the transpose of the product and |b|^2 is unchanged
+    mism, coupling = _designed(length, kl)
+    walk_z = np.linspace(0.0, length, len(increments) + 1)
+    walk_phi = np.concatenate([[0.0], np.cumsum(increments)])
+    for z, phi, k in ((mism.z, mism.phi, coupling),
+                      (walk_z, walk_phi, walk_kl / length)):
+        reversed_phi = phi[-1] - phi[::-1]
+        assert abs(undepleted_efficiencies(z, reversed_phi, k)[0]
+                   - undepleted_efficiencies(z, phi, k)[0]) <= 1e-13
+
+
+# Random sampled curves: (spacing to the previous sample, value in [0, 1]).
+samples = st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1.0))
+
+
+@few
+@given(x0=st.floats(-10.0, 10.0), curve=st.lists(samples, min_size=2, max_size=60))
+def test_fwhm_interval_invariants(x0, curve):
+    xs = x0 + np.cumsum([dx for dx, _ in curve])
+    ys = np.array([y for _, y in curve])
+    x_lo, x_hi, width, truncated = fwhm_interval(xs, ys)
+    assert x_lo <= xs[np.argmax(ys)] <= x_hi
+    assert width == x_hi - x_lo >= 0.0
+    half = ys.max() / 2.0
+    assert truncated == (ys[0] >= half or ys[-1] >= half)
+
+
+@few
+@given(left=st.lists(samples, max_size=30), right=st.lists(samples, max_size=30),
+       y0=st.floats(0.0, 1.0), threshold=st.floats(0.05, 0.95))
+def test_tolerance_interval_invariants(left, right, y0, threshold):
+    # a curve sampled at x = 0 and on either side of it
+    xs = np.concatenate([-np.cumsum([dx for dx, _ in left])[::-1], [0.0],
+                         np.cumsum([dx for dx, _ in right])])
+    ys = np.array([y for _, y in left[::-1]] + [y0] + [y for _, y in right])
+    interval = tolerance_interval(xs, ys, threshold)
+    if y0 < threshold:
+        assert interval is None
+        return
+    lo, hi = interval
+    assert lo <= 0.0 <= hi
+    assert np.all(ys[(xs > lo) & (xs < hi)] >= threshold)

@@ -1,14 +1,17 @@
 import csv
 import json
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qasfg import sensitivity
 from qasfg.cli import main
 from qasfg.propagation import simulate_undepleted
 from qasfg.sensitivity import (
-    eta_from_period_error, first_order_efficiency, optimize_kappa,
+    _unit_scan, eta_from_period_error, first_order_efficiency, optimize_kappa,
     perturbation_coefficients, q_deltak, q_kappa,
 )
 from qasfg.trajectory import (MismatchProfile, TrajectoryError, TrajectorySpec,
@@ -250,3 +253,29 @@ def test_trace_export(tmp_path):
     assert rows[0] == ["kappa_per_cm", "q_value"]
     assert len(rows) - 1 == len(r.trace_kappa)
     assert [float(row[0]) for row in rows[1:]] == list(r.trace_kappa / 100.0)
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_scan_worker_error_reaches_caller_uncached(monkeypatch, failing):
+    # two scan workers: the calling thread and one helper thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    real_q = sensitivity._q
+
+    def broken_q(k, length, grid_n, target):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (failing == "caller"):
+            raise RuntimeError("broken block")
+        return real_q(k, length, grid_n, target)
+
+    _unit_scan.cache_clear()
+    monkeypatch.setattr(sensitivity, "_q", broken_q)
+    with pytest.raises(RuntimeError, match="broken block"):
+        optimize_kappa(L, grid_n=1001)
+    assert _unit_scan.cache_info().currsize == 0
+    monkeypatch.setattr(sensitivity, "_q", real_q)
+    threaded = optimize_kappa(L, grid_n=1001)
+    _unit_scan.cache_clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = optimize_kappa(L, grid_n=1001)
+    assert (threaded.kappa_opt, threaded.q_opt) == (serial.kappa_opt, serial.q_opt)
+    assert np.array_equal(threaded.trace_q, serial.trace_q)
