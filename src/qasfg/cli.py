@@ -13,6 +13,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -60,6 +61,12 @@ DEFAULT_CONFIG = {
 }
 
 SWEEP_NAMES = ("bandwidth", "period", "pump", "length", "signal", "kappa-trace")
+# Each sweep block's range keys and the value its lower end must exceed.
+SWEEP_RANGES = {"bandwidth": ("lambda_min_um", "lambda_max_um", 0.0),
+                "period": ("min_pct", "max_pct", -100.0),
+                "pump": ("min_pct", "max_pct", -100.0),
+                "length": ("min_mm", "max_mm", 0.0),
+                "signal": ("ratio_min", "ratio_max", 0.0)}
 
 
 class ConfigError(ValueError):
@@ -98,6 +105,19 @@ def _merge_validate(user, default, path=""):
     return merged
 
 
+def _check_sweeps(sweeps):
+    """Every sweep block needs samples >= 1 and bound < min < max < inf."""
+    for name, (lo, hi, bound) in SWEEP_RANGES.items():
+        block = sweeps[name]
+        if block["samples"] < 1:
+            raise ConfigError(f"bad value for config key sweeps.{name}.samples: "
+                              f"need at least 1, got {block['samples']}")
+        if not bound < block[lo] < block[hi] < math.inf:
+            raise ConfigError(
+                f"bad range for config keys sweeps.{name}.{lo} and sweeps.{name}.{hi}: "
+                f"need {bound:g} < {lo} < {hi}, got {block[lo]!r} and {block[hi]!r}")
+
+
 def load_config(path):
     """Read, validate, and merge the config file; return (config, sha256)."""
     if path is None:
@@ -109,6 +129,7 @@ def load_config(path):
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file {path} is not valid JSON: {err}")
         merged = _merge_validate(user, DEFAULT_CONFIG)
+        _check_sweeps(merged["sweeps"])
     canonical = json.dumps(merged, sort_keys=True, separators=(",", ":"))
     return merged, hashlib.sha256(canonical.encode()).hexdigest()
 

@@ -1,15 +1,16 @@
-"""Propagators for the coupled-wave equations. Both RK4 kernels step cell by
-cell in the co-rotating frame A3 e^{-i phi}, under one step policy (_plan).
+"""Propagators for the coupled-wave equations, stepped cell by cell in the
+co-rotating frame A3 e^{-i phi} under one step policy (_plan).
 
 Undepleted pump: the linear pair
     dA1/dz = -i kappa A3 e^{-i phi(z)},   dA3/dz = -i kappa A1 e^{+i phi(z)}
 with phi(z) the profile's accumulated mismatch phase, linear between nodes
-(never dk*z, which is wrong for chirped profiles). Sweeps solve it exactly
-per profile cell; RK4 records trajectories and is the reference.
+(never dk*z, which is wrong for chirped profiles). Every profile cell is an
+exact SU(2) rotation (_rotations): sweeps multiply whole cells in a pairwise
+tree, and trajectories apply it step by step to record the fields.
 
 Depleted pump: the photon-flux-normalized three-wave system, which conserves
 the Manley-Rowe combinations exactly and reduces to the pair above as the
-signal/pump ratio vanishes.
+signal/pump ratio vanishes; with no closed form, it is integrated by RK4.
 """
 
 import cmath
@@ -46,7 +47,7 @@ class FieldTrajectory:
     a3: np.ndarray
     a2: np.ndarray | None
     efficiency: float
-    steps: int  # RK4 steps taken: the requested steps rounded up per cell
+    steps: int  # steps taken: the requested steps rounded up per cell
 
 
 def constant_mismatch(delta_k, length, grid_n=4001):
@@ -67,7 +68,8 @@ def lz_linear_chirp(dk_start, dk_end, length, grid_n=4001):
 
 
 def _check_steps(steps, kappa, delta_k, length):
-    """Reject step counts that under-resolve the fastest phase rotation."""
+    """Reject step counts that under-resolve the fastest phase rotation: the
+    depleted RK4 step, and the recording of an undepleted trajectory."""
     cycles = (np.max(np.abs(delta_k)) * length
               + 2.0 * abs(kappa) * length) / (2.0 * np.pi)
     required = int(np.ceil(10.0 * cycles))
@@ -78,7 +80,7 @@ def _check_steps(steps, kappa, delta_k, length):
 
 
 def _plan(mismatch, kappa, steps, record_stride):
-    """The step policy of both RK4 kernels: check steps, take sub =
+    """The step policy of both recorders: check steps, take sub =
     ceil(steps / cells) equal steps in every profile cell, total in all, and
     record every record_stride-th (default: about 2000 points)."""
     _check_steps(steps, kappa, mismatch.delta_k, mismatch.length)
@@ -97,36 +99,46 @@ def _lab_frame(z, phi, j, k, sub, c3):
             c3 * cmath.exp(1j * (phi[j] + f * (phi[j + 1] - phi[j]))))
 
 
+def _rotations(k, d, h):
+    """(a, b) of [[a, b], [-b*, a*]], b imaginary so -b* = b: the exact
+    propagator cos(W h) + i sin(W h)/W [[d/2, -k], [-k, -d/2]], W^2 = k^2 +
+    d^2/4, of cells of width h, mismatch d and pair coupling k in the frame
+    (A1 e^{i phi/2}, A3 e^{-i phi/2}) (Suchowski et al., PRA 78, 063821, 2008)."""
+    w = np.sqrt(k * k + 0.25 * d * d)
+    wh = w * h
+    sw = np.divide(np.sin(wh), w, out=h.copy(), where=w > 0)  # -> h as W -> 0
+    return np.cos(wh) + 0.5j * sw * d, -1j * sw * k
+
+
 def simulate_undepleted(mismatch, kappa, steps=20000, initial=None,
                         record_stride=None):
-    """Integrate the undepleted two-wave pair with classical RK4.
+    """Propagate the undepleted two-wave pair exactly, recording its fields.
 
     kappa is the per-wave coupling rate of the pair as written above. In the
-    co-rotating frame c3 = a3 e^{-i phi} a cell is autonomous, a1' = -i kappa c3
-    and c3' = -i kappa a1 - i d c3 with its constant mismatch d. Steps as in
-    simulate_depleted: ceil(steps / cells) per cell; record_stride counts them.
+    co-rotating frame c3 = a3 e^{-i phi} a cell with mismatch d is autonomous,
+    a1' = -i kappa c3, c3' = -i kappa a1 - i d c3, and a step h of it is
+    S = e [[a, b], [b, a*]] on (a1, c3), e = e^{-i d h/2} and (a, b) from
+    _rotations. It is applied as 1 + (S - 1), with a - 1 and e - 1 taken from
+    1 - cos x = sin^2 x / (1 + cos x), so that rounding scales with the step.
+    steps and record_stride, as in simulate_depleted, set only the recording.
     """
     if initial is None:
         initial = FieldState()
     z, phi, sub, total, record_stride = _plan(mismatch, kappa, steps, record_stride)
 
-    kappa, a1 = float(kappa), complex(initial.a1)  # numpy scalars triple the cost
-    c3 = complex(initial.a3) * cmath.exp(-1j * phi[0])
+    h = np.diff(mismatch.z) / sub
+    d = np.diff(mismatch.phi) / np.diff(mismatch.z)
+    a, b = _rotations(float(kappa), d, h)
+    e = np.exp(-0.5j * d * h)
+    am1 = 1j * a.imag - (a.imag ** 2 + b.imag ** 2) / (1.0 + a.real)
+    em1 = 1j * e.imag - e.imag ** 2 / (1.0 + e.real)
+    cells = zip((em1 * a + am1).tolist(), (e * b).tolist(),
+                (em1 * a.conj() + am1.conj()).tolist())
+    a1, c3 = complex(initial.a1), complex(initial.a3) * cmath.exp(-1j * phi[0])
     rec = [(z[0], complex(initial.a3), a1)]
-    for j in range(len(z) - 1):
-        # K = -i kappa h and D = -i d h of the cell's step h; Kh, Dh give half steps
-        K, D = -1j * kappa * (z[j + 1] - z[j]) / sub, -1j * (phi[j + 1] - phi[j]) / sub
-        Kh, Dh = 0.5 * K, 0.5 * D
+    for j, (p, q, r) in enumerate(cells):
         for n in range(j * sub + 1, j * sub + sub + 1):
-            h1a, h1c = Kh * c3, Kh * a1 + Dh * c3
-            t1, t3 = a1 + h1a, c3 + h1c
-            h2a, h2c = Kh * t3, Kh * t1 + Dh * t3
-            t1, t3 = a1 + h2a, c3 + h2c
-            k3a, k3c = K * t3, K * t1 + D * t3
-            t1, t3 = a1 + k3a, c3 + k3c
-            k4a, k4c = K * t3, K * t1 + D * t3
-            a1 += (h1a + 2.0 * h2a + k3a) / 3.0 + k4a / 6.0
-            c3 += (h1c + 2.0 * h2c + k3c) / 3.0 + k4c / 6.0
+            a1, c3 = a1 + (p * a1 + q * c3), c3 + (q * a1 + r * c3)
             if n % record_stride == 0 or n == total:
                 rec.append(_lab_frame(z, phi, j, n - j * sub, sub, c3) + (a1,))
 
@@ -141,16 +153,9 @@ _CHUNK = 16  # points per pass; peak memory ~90 bytes per cell and point
 
 def undepleted_efficiencies(z, phi, coupling):
     """Exact undepleted |A3(L)|^2, A1(0) = 1, of P points: phi (P, N) on the
-    node grid z, (P, N) or (N,), at the P lab-frame pair couplings.
-
-    phi is linear between nodes, as both RK4 kernels take it, so the
-    mismatch d is constant on each cell and, in the frame
-    (A1 e^{i phi/2}, A3 e^{-i phi/2}), a cell of width h is the SU(2) rotation
-    cos(W h) + i sin(W h)/W [[d/2, -kappa], [-kappa, -d/2]], W^2 = kappa^2 +
-    d^2/4 (Suchowski et al., PRA 78, 063821, 2008), held as (a, b) of
-    [[a, b], [-b*, a*]] and multiplied in a pairwise tree. A point's result
-    is bit-identical in any batch or order.
-    """
+    node grid z, (P, N) or (N,), at the P lab-frame pair couplings, one
+    _rotations matrix per cell multiplied in a pairwise tree. A point's
+    result is bit-identical in any batch or order."""
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     z = np.broadcast_to(np.asarray(z, dtype=float), phi.shape)
     coupling = np.broadcast_to(np.asarray(coupling, dtype=float), phi.shape[:1])
@@ -158,12 +163,7 @@ def undepleted_efficiencies(z, phi, coupling):
     for s in range(0, len(eta), _CHUNK):
         h = np.diff(z[s:s + _CHUNK], axis=1)
         d = np.diff(phi[s:s + _CHUNK], axis=1) / h
-        k = coupling[s:s + _CHUNK, None]
-        w = np.sqrt(k * k + 0.25 * d * d)
-        wh = w * h
-        sw = np.divide(np.sin(wh), w, out=h, where=w > 0)  # -> h as W -> 0
-        a = np.cos(wh) + 0.5j * sw * d
-        b = -1j * sw * k
+        a, b = _rotations(coupling[s:s + _CHUNK, None], d, h)
         while a.shape[1] > 1:
             n = a.shape[1] // 2 * 2  # an odd last cell is carried up a level
             a1, b1, a2, b2 = a[:, 0:n:2], b[:, 0:n:2], a[:, 1:n:2], b[:, 1:n:2]

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from qasfg import (
-    MismatchProfile, TrajectorySpec, angle_profiles, assemble_design,
+    FieldState, MismatchProfile, TrajectorySpec, angle_profiles, assemble_design,
     bandwidth_sweep, constant_mismatch, delta_k_profile, lz_linear_chirp,
     make_wave_triplet, optimize_kappa, perturbation_coefficients,
     pump_amplitude_for_kappa, pump_intensity, q_deltak, q_kappa,
-    simulate_design, simulate_undepleted,
+    simulate_depleted, simulate_design, simulate_undepleted,
 )
 from qasfg.experiments import LAB_FRAME_COUPLING
 from qasfg.materials import NonlinearConstants, coupling_coefficient
@@ -252,16 +252,17 @@ def test_criterion_10_property_suite(design_dk):
     lines.append(f"conservation drift {drift:.1e}")
     assert drift < 1e-8
 
-    # RK4 measured order on the phase-matched analytic case; one profile cell,
-    # so the requested 40 and 80 steps are the steps taken
-    kappa = 1.3 / L
-    exact = np.sin(1.3) ** 2
+    # measured self-convergence order of the depleted RK4 (the undepleted
+    # recorder is exact); one phase-matched profile cell, so the requested
+    # 20, 40 and 80 steps are the steps taken
     flat = constant_mismatch(0.0, L, grid_n=2)
-    e1 = abs(simulate_undepleted(flat, kappa, steps=40).efficiency - exact)
-    e2 = abs(simulate_undepleted(flat, kappa, steps=80).efficiency - exact)
-    order = float(np.log2(e1 / e2))
-    lines.append(f"RK4 order {order:.2f}")
-    assert order >= 3.8
+    for ratio in (0.5, 1.0):
+        e20, e40, e80 = (simulate_depleted(flat, 1.3 / L, steps=steps,
+                                           initial=FieldState(ratio, 0.0, 1.0)).efficiency
+                         for steps in (20, 40, 80))
+        order = float(np.log2(abs(e20 - e40) / abs(e40 - e80)))
+        lines.append(f"depleted RK4 order {order:.2f} at ratio {ratio}")
+        assert order >= 3.8
 
     # defining-identity residuals of the trajectory
     a = design_dk.angles

@@ -276,6 +276,26 @@ def test_integer_and_boolean_keys_typed(tmp_path, capsys, block, key, value):
     assert f"{block}.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep,block,named", [
+    ("signal", {"samples": 0}, "sweeps.signal.samples"),
+    ("period", {"samples": 0}, "sweeps.period.samples"),
+    ("period", {"samples": -3}, "sweeps.period.samples"),
+    ("pump", {"min_pct": 10.0, "max_pct": -10.0}, "sweeps.pump.min_pct"),
+    ("pump", {"min_pct": -100.0}, "sweeps.pump.min_pct"),
+    ("length", {"min_mm": 0.0}, "sweeps.length.min_mm"),
+    ("length", {"min_mm": 2.0, "max_mm": 2.0}, "sweeps.length.max_mm"),
+    ("bandwidth", {"lambda_min_um": -1.0}, "sweeps.bandwidth.lambda_min_um"),
+    ("signal", {"ratio_min": 0.0}, "sweeps.signal.ratio_min"),
+])
+def test_bad_sweep_block_names_key(tmp_path, capsys, sweep, block, named):
+    # checked when the config loads: exit 2 naming the key, for any subcommand
+    cfg = write_config(tmp_path, {"sweeps": {sweep: block}})
+    for argv in (["sweep", sweep], ["design"]):
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+
 VALID_DESIGN = {
     "version": __version__, "kappa_rad_per_m": 7510.0, "L_mm": 1.0,
     "target": "deltak", "grid_N": 1001, "lambda1_um": 3.0, "lambda2_um": 1.064,

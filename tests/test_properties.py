@@ -1,7 +1,7 @@
 """Property tests: scale covariance of the sensitivities and of kappa*, the
 numpy Simpson rules against scipy's, the memoised kappa*L scan and its rows
 against the single-row q kernel and angle_profiles for any scan worker
-count, both RK4 kernels (Manley-Rowe and unitarity, agreement with the exact
+count, both recorders (Manley-Rowe and unitarity, agreement with the exact
 undepleted solution, step rounding), profile-reversal reciprocity of the
 exact undepleted efficiency, and the FWHM and tolerance-interval
 invariants."""
@@ -29,7 +29,7 @@ lengths = st.floats(0.2e-3, 20e-3)
 targets = st.sampled_from(TARGETS)
 # Few, reproducible examples: each one builds trajectories or runs a search.
 few = settings(max_examples=8, deadline=None, derandomize=True, database=None)
-# The RK4 and scan worker-count properties do not shrink: each shrink step
+# The propagation and scan worker-count properties do not shrink: each shrink step
 # reruns 4001-node propagations or several scans, which turns one failing
 # example into minutes of reruns.
 no_shrink = tuple(p for p in Phase if p is not Phase.shrink)
@@ -186,7 +186,7 @@ def test_depleted_small_signal_limit(length, kl):
           phases=no_shrink)
 @given(length=lengths, kl=designed_kl, ratio=ratios)
 def test_depleted_steps_round_up_per_cell(length, kl, ratio):
-    # 4000 cells: 19999 and 20000 steps both take 5 RK4 steps per cell
+    # 4000 cells: 19999 and 20000 steps both take 5 steps per cell
     mism, coupling = _designed(length, kl)
     runs = [simulate_depleted(mism, coupling, steps=steps,
                               initial=FieldState(ratio, 0.0, 1.0))
