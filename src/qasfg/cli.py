@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .materials import (DispersionModel, NonlinearConstants, MaterialError,
-                        EPS0_CHOICES)
+                        EPS0_CHOICES, SELLMEIER_SETS)
 from .propagation import PropagationError
 from .sensitivity import TARGETS, optimize_kappa
 from .trajectory import TrajectoryError, _check_grid_n, boundary_check
@@ -118,6 +118,41 @@ def _check_sweeps(sweeps):
                 f"need {bound:g} < {lo} < {hi}, got {block[lo]!r} and {block[hi]!r}")
 
 
+def _check_values(cfg):
+    """The design and simulation values the library would reject without
+    naming the key: a positive finite length, wavelengths and their
+    sum-frequency wavelength inside the dispersion set's validity range, an
+    ordered coupling window and a finite signal/pump ratio."""
+    d = cfg["design"]
+    if not 0.0 < d["L_mm"] < math.inf:
+        raise ConfigError(f"bad value for config key design.L_mm: "
+                          f"need 0 < L_mm < inf, got {d['L_mm']!r}")
+    sellmeier = SELLMEIER_SETS.get(cfg["material"]["dispersion_set"])
+    if sellmeier is not None:  # an unknown set is named when the model is built
+        lo, hi = sellmeier.valid_um
+        for key in ("lambda1_um", "lambda2_um"):
+            if not lo <= d[key] <= hi:
+                raise ConfigError(
+                    f"bad value for config key design.{key}: need {lo} <= {key} <= "
+                    f"{hi} ({sellmeier.name} validity range), got {d[key]!r}")
+        lam3 = 1.0 / (1.0 / d["lambda1_um"] + 1.0 / d["lambda2_um"])
+        if not lo <= lam3 <= hi:
+            raise ConfigError(
+                f"bad values for config keys design.lambda1_um and design.lambda2_um: "
+                f"their sum-frequency wavelength {lam3:.4f} um lies outside the "
+                f"{sellmeier.name} validity range [{lo}, {hi}] um")
+    k_lo, k_hi = d["kappa_min_per_cm"], d["kappa_max_per_cm"]
+    if k_lo is not None and k_hi is not None and not 0.0 < k_lo < k_hi < math.inf:
+        raise ConfigError(
+            f"bad range for config keys design.kappa_min_per_cm and "
+            f"design.kappa_max_per_cm: need 0 < kappa_min_per_cm < kappa_max_per_cm, "
+            f"got {k_lo!r} and {k_hi!r}")
+    ratio = cfg["simulation"]["signal_pump_ratio"]
+    if not math.isfinite(ratio):
+        raise ConfigError(f"bad value for config key simulation.signal_pump_ratio: "
+                          f"need a finite number, got {ratio!r}")
+
+
 def load_config(path):
     """Read, validate, and merge the config file; return (config, sha256)."""
     if path is None:
@@ -130,6 +165,7 @@ def load_config(path):
             raise ConfigError(f"config file {path} is not valid JSON: {err}")
         merged = _merge_validate(user, DEFAULT_CONFIG)
         _check_sweeps(merged["sweeps"])
+        _check_values(merged)
     canonical = json.dumps(merged, sort_keys=True, separators=(",", ":"))
     return merged, hashlib.sha256(canonical.encode()).hexdigest()
 

@@ -35,9 +35,15 @@ KL_SEARCH_MIN = 1.05 * np.pi
 KL_SEARCH_MAX = 10.0
 
 # Grid samples in the row blocks of the batched kappa*L scan that are solved
-# at once, summed over all scan workers: about 0.5 MB per (rows, grid_n)
-# float array in total whatever grid_n and the worker count are.
+# at once, summed over all scan workers: about 0.5 MB per (rows, SCAN_GRID_N)
+# float array in total whatever the worker count is.
 SCAN_SAMPLES = 1 << 16
+
+# Grid nodes of every kappa*L scan row, whatever the design grid: the rows
+# only rank the couplings to pick the golden section's bracket, and the
+# ranking is confirmed on the design grid. 1001 is the smallest grid
+# _check_grid_n allows.
+SCAN_GRID_N = 1001
 
 
 @dataclass(frozen=True)
@@ -164,18 +170,49 @@ def _solve_blocks(xs, qs, starts, rows, grid_n, target):
         qs[i:i + rows] = np.where(inside, q, np.inf)
 
 
+def _downhill(xs, qs, grid_n, target):
+    """Index of the scan row that centres the golden section's bracket: the
+    argmin of the SCAN_GRID_N rows qs, moved to its lowest neighbour while
+    that neighbour is lower on grid_n, so it stops at a local minimum of the
+    unit-length q on grid_n. A row whose theta leaves (0, pi) on grid_n is
+    +inf, so uphill. Ties go to the lower index, as in np.argmin."""
+    best = int(np.argmin(qs))
+    if not np.isfinite(qs[best]):  # no valid row: optimize_kappa raises
+        return best
+    fine = {}
+
+    def q_at(i):
+        if i not in fine:
+            q, inside = _q(xs[i], 1.0, grid_n, target)
+            fine[i] = q if inside else np.inf
+        return fine[i]
+
+    while True:
+        step = min(range(max(best - 1, 0), min(best + 2, len(xs))), key=q_at)
+        if step == best:
+            return best
+        best = step
+
+
 @lru_cache(maxsize=64)
 def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
-    """Sensitivity Q(x) of the unit-length problem at the couplings
-    x = linspace(x_lo, x_hi, scan_points), +inf where theta leaves (0, pi).
+    """The couplings x = linspace(x_lo, x_hi, scan_points), the sensitivity
+    Q(x) of the unit-length problem on SCAN_GRID_N nodes (+inf where theta
+    leaves (0, pi)), and the index of the row that centres the golden
+    section's bracket on grid_n.
 
     q is scale-free: q_deltak(kappa, L) = L^2 Q(kappa L) and
     q_kappa(kappa, L) = Q(kappa L), so one scan serves every length. Each
-    row is the kernel _q at x, bit for bit what _q gives for x alone: theta
-    from the closed-form trajectory, then only sin(theta), the selector
-    phase and the target integral, never beta, alpha or m.
+    row is the kernel _q at x on SCAN_GRID_N nodes, bit for bit what _q
+    gives for x alone: theta from the closed-form trajectory, then only
+    sin(theta), the selector phase and the target integral, never beta,
+    alpha or m. The rows differ from rows on a finer grid by about 1e-5
+    relative at most, less than the gaps between the minimum and its
+    neighbours, so they rank the couplings as the design grid does;
+    _downhill confirms the argmin on grid_n, once per memoised scan, so a
+    warm call costs nothing.
 
-    The rows are solved in blocks of SCAN_SAMPLES // (workers * grid_n)
+    The rows are solved in blocks of SCAN_SAMPLES // (workers * SCAN_GRID_N)
     rows, on the calling thread and one helper thread per further CPU of
     the affinity mask, at most one worker per SCAN_SAMPLES block. numpy
     releases the GIL in these passes. Worker w solves the block starts
@@ -188,14 +225,14 @@ def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
     """
     xs = np.linspace(x_lo, x_hi, scan_points)
     qs = np.empty(scan_points)
-    workers = _scan_workers(-(-scan_points // max(1, SCAN_SAMPLES // grid_n)))
-    rows = max(1, SCAN_SAMPLES // (workers * grid_n))
+    workers = _scan_workers(-(-scan_points // max(1, SCAN_SAMPLES // SCAN_GRID_N)))
+    rows = max(1, SCAN_SAMPLES // (workers * SCAN_GRID_N))
     starts = range(0, scan_points, rows)
     errors = []
 
     def helper(w):
         try:
-            _solve_blocks(xs, qs, starts[w::workers], rows, grid_n, target)
+            _solve_blocks(xs, qs, starts[w::workers], rows, SCAN_GRID_N, target)
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 
@@ -204,14 +241,14 @@ def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
     for t in threads:
         t.start()
     try:
-        _solve_blocks(xs, qs, starts[0::workers], rows, grid_n, target)
+        _solve_blocks(xs, qs, starts[0::workers], rows, SCAN_GRID_N, target)
     finally:
         for t in threads:
             t.join()
     if errors:
         raise errors[0]
     xs.flags.writeable = qs.flags.writeable = False
-    return xs, qs
+    return xs, qs, _downhill(xs, qs, grid_n, target)
 
 
 def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
@@ -220,10 +257,12 @@ def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
 
     Coarse uniform scan over the search range followed by golden-section
     refinement to within tol (rad/m). The scan runs in kappa*L on the
-    unit-length problem and is memoised, so designs that share the target,
-    grid and kappa*L window share it; the refinement and q_opt are computed
-    at the real length. Invalid trajectories evaluate to +inf. A minimum on
-    the range boundary is reported via at_boundary, not hidden.
+    unit-length problem at SCAN_GRID_N nodes, its minimum is confirmed on
+    grid_n, and it is memoised, so designs that share the target, grid and
+    kappa*L window share it. The refinement and q_opt are computed at the
+    real length on grid_n; trace_q holds the scan rows, rescaled to the
+    length. Invalid trajectories evaluate to +inf. A minimum on the range
+    boundary is reported via at_boundary, not hidden.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; choose from {TARGETS}")
@@ -246,12 +285,11 @@ def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
     if scan_points < 400:
         raise ValueError(f"scan needs at least 400 points, got {scan_points}")
 
-    xs, qs_unit = _unit_scan(target, grid_n, x_lo, x_hi, scan_points)
+    xs, qs_unit, best = _unit_scan(target, grid_n, x_lo, x_hi, scan_points)
     if not np.any(np.isfinite(qs_unit)):
         raise ValueError("no valid trajectory in the search range")
     ks = xs / length
     qs = qs_unit * length ** 2 if target == "deltak" else qs_unit.copy()
-    best = int(np.argmin(qs))
     at_boundary = best in (0, scan_points - 1)
 
     a = ks[max(best - 1, 0)]

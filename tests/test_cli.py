@@ -296,6 +296,28 @@ def test_bad_sweep_block_names_key(tmp_path, capsys, sweep, block, named):
         assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("block,named", [
+    ({"design": {"L_mm": float("nan")}}, "design.L_mm"),
+    ({"design": {"L_mm": -1.0}}, "design.L_mm"),
+    ({"design": {"lambda1_um": -3.0}}, "design.lambda1_um"),
+    ({"design": {"lambda2_um": 4.5}}, "design.lambda2_um"),
+    ({"design": {"lambda1_um": 0.6, "lambda2_um": 0.6}}, "design.lambda2_um"),
+    ({"design": {"kappa_min_per_cm": 60.0, "kappa_max_per_cm": 50.0}},
+     "design.kappa_min_per_cm"),
+    ({"design": {"kappa_min_per_cm": 60.0, "kappa_max_per_cm": float("inf")}},
+     "design.kappa_max_per_cm"),
+    ({"simulation": {"depleted": True, "signal_pump_ratio": float("nan")}},
+     "simulation.signal_pump_ratio"),
+])
+def test_bad_design_value_names_key(tmp_path, capsys, block, named):
+    # checked when the config loads, before the library sees the value
+    cfg = write_config(tmp_path, block)
+    for command in ("design", "simulate"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+
 VALID_DESIGN = {
     "version": __version__, "kappa_rad_per_m": 7510.0, "L_mm": 1.0,
     "target": "deltak", "grid_N": 1001, "lambda1_um": 3.0, "lambda2_um": 1.064,

@@ -1,10 +1,10 @@
 """Property tests: scale covariance of the sensitivities and of kappa*, the
 numpy Simpson rules against scipy's, the memoised kappa*L scan and its rows
 against the single-row q kernel and angle_profiles for any scan worker
-count, both recorders (Manley-Rowe and unitarity, agreement with the exact
-undepleted solution, step rounding), profile-reversal reciprocity of the
-exact undepleted efficiency, and the FWHM and tolerance-interval
-invariants."""
+count, its bracket against a row-by-row scan on the design grid, both
+recorders (Manley-Rowe and unitarity, agreement with the exact undepleted
+solution, step rounding), profile-reversal reciprocity of the exact
+undepleted efficiency, and the FWHM and tolerance-interval invariants."""
 
 import os
 import threading
@@ -14,11 +14,13 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
+from qasfg import sensitivity
 from qasfg.experiments import LAB_FRAME_COUPLING, fwhm_interval, tolerance_interval
 from qasfg.propagation import (FieldState, simulate_depleted, simulate_undepleted,
                                undepleted_efficiencies)
-from qasfg.sensitivity import (KL_SEARCH_MIN, SCAN_SAMPLES, TARGETS, _q, _unit_scan,
-                               optimize_kappa, q_deltak, q_kappa)
+from qasfg.sensitivity import (KL_SEARCH_MAX, KL_SEARCH_MIN, SCAN_GRID_N, SCAN_SAMPLES,
+                               TARGETS, _q, _unit_scan, optimize_kappa, q_deltak,
+                               q_kappa)
 from qasfg.trajectory import (TrajectoryError, TrajectorySpec, _cumulative_simpson,
                               _simpson, angle_profiles, delta_k_profile)
 
@@ -100,14 +102,15 @@ def test_optimizer_independent_of_scan_cache(length, others, target):
 @given(x_lo=st.floats(KL_SEARCH_MIN, 15.0), width=st.floats(0.5, 6.0),
        target=targets, grid_n=st.sampled_from([1001, 3001]))
 def test_scan_rows_are_the_single_row_kernel(x_lo, width, target, grid_n):
-    # windows past kappa*L ~ 18.7 hold rows whose theta leaves (0, pi)
-    xs, qs = _unit_scan(target, grid_n, x_lo, x_lo + width, 400)
+    # windows past kappa*L ~ 18.7 hold rows whose theta leaves (0, pi); the
+    # rows lie on SCAN_GRID_N nodes whatever the design grid is
+    xs, qs, _ = _unit_scan(target, grid_n, x_lo, x_lo + width, 400)
     qfun = q_deltak if target == "deltak" else q_kappa
     for x, q in zip(xs, qs):
-        single, inside = _q(x, 1.0, grid_n, target)
+        single, inside = _q(x, 1.0, SCAN_GRID_N, target)
         assert q == (single if inside else np.inf)
         try:
-            ref = qfun(angle_profiles(TrajectorySpec(x, 1.0, grid_n)))
+            ref = qfun(angle_profiles(TrajectorySpec(x, 1.0, SCAN_GRID_N)))
         except TrajectoryError:
             assert not inside
             continue
@@ -124,11 +127,11 @@ def test_scan_is_serial_for_any_worker_count(grid_n, x_lo, width, target):
     x_hi = x_lo + width
     serial = []
     for x in np.linspace(x_lo, x_hi, 400):
-        q, inside = _q(x, 1.0, grid_n, target)
+        q, inside = _q(x, 1.0, SCAN_GRID_N, target)
         serial.append(q if inside else np.inf)
-    blocks = -(-400 // (SCAN_SAMPLES // grid_n))
+    blocks = -(-400 // (SCAN_SAMPLES // SCAN_GRID_N))
     kappas = set()
-    # 32 CPUs is more than the blocks of either grid, so the count is capped
+    # 32 CPUs is more than the scan's blocks, so the count is capped
     for cpus in (1, 2, 3, 32):
         started = []
         start = threading.Thread.start
@@ -137,7 +140,7 @@ def test_scan_is_serial_for_any_worker_count(grid_n, x_lo, width, target):
             mp.setattr(threading.Thread, "start",
                        lambda self: (started.append(self), start(self)))
             _unit_scan.cache_clear()
-            _, qs = _unit_scan(target, grid_n, x_lo, x_hi, 400)
+            _, qs, _ = _unit_scan(target, grid_n, x_lo, x_hi, 400)
             r = optimize_kappa(REF_LENGTH, target=target, grid_n=grid_n,
                                search_range=(x_lo / REF_LENGTH, x_hi / REF_LENGTH))
         assert len(started) == min(cpus, blocks) - 1
@@ -145,6 +148,80 @@ def test_scan_is_serial_for_any_worker_count(grid_n, x_lo, width, target):
         assert np.array_equal(qs, serial)
         kappas.add((r.kappa_opt, r.q_opt))
     assert len(kappas) == 1
+
+
+def _row_by_row(xs, grid_n, target):
+    """q of the unit-length problem at each x on grid_n, +inf where theta
+    leaves (0, pi)."""
+    rows = [_q(x, 1.0, grid_n, target) for x in xs]
+    return np.array([q if inside else np.inf for q, inside in rows])
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          phases=no_shrink)
+@given(length=lengths, target=targets, grid_n=st.sampled_from([2001, 3001]),
+       window=st.none() | st.tuples(st.floats(KL_SEARCH_MIN, 15.0),
+                                    st.floats(0.5, 6.0)))
+def test_scan_bracket_is_the_design_grid_argmin(length, target, grid_n, window):
+    # the row the golden section brackets is the argmin of a full scan on grid_n
+    if window is None:
+        x_lo, x_hi = KL_SEARCH_MIN, KL_SEARCH_MAX
+    else:
+        lo, hi = window[0] / length, (window[0] + window[1]) / length
+        x_lo, x_hi = lo * length, hi * length  # as optimize_kappa forms them
+    xs, _, best = _unit_scan(target, grid_n, x_lo, x_hi, 400)
+    fine = _row_by_row(xs, grid_n, target)
+    assert fine[best] <= fine[max(best - 1, 0)]
+    assert fine[best] <= fine[min(best + 1, len(xs) - 1)]
+    assert best == int(np.argmin(fine))
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_scan_walks_a_near_tie_to_the_design_grid_minimum(monkeypatch, target):
+    # Lower the scan row next to the grid_n minimum just below it, so the
+    # SCAN_GRID_N argmin sits one row off: the walk moves back on grid_n.
+    grid_n = 2001
+    _unit_scan.cache_clear()
+    ref = optimize_kappa(REF_LENGTH, target=target, grid_n=grid_n)
+    xs, qs, best = _unit_scan(target, grid_n, KL_SEARCH_MIN, KL_SEARCH_MAX, 400)
+    assert 0 < best < len(xs) - 1
+    off = best + 1
+    solve = sensitivity._solve_blocks
+
+    def nudged(x, out, starts, rows, n, tgt):
+        solve(x, out, starts, rows, n, tgt)
+        if any(i <= off < i + rows for i in starts):
+            out[off] = qs[best] * (1.0 - 1e-9)
+
+    monkeypatch.setattr(sensitivity, "_solve_blocks", nudged)
+    _unit_scan.cache_clear()
+    _, nudged_qs, walked = _unit_scan(target, grid_n, KL_SEARCH_MIN, KL_SEARCH_MAX, 400)
+    r = optimize_kappa(REF_LENGTH, target=target, grid_n=grid_n)
+    _unit_scan.cache_clear()
+    assert int(np.argmin(nudged_qs)) == off
+    assert walked == best == int(np.argmin(_row_by_row(xs, grid_n, target)))
+    assert (r.kappa_opt, r.q_opt, r.at_boundary) == \
+        (ref.kappa_opt, ref.q_opt, ref.at_boundary)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_scan_past_theta_grazing_pi_matches_full_grid_bracket(monkeypatch, target):
+    # 15000-25000 /m at 1 mm is kappa*L 15-25: theta grazes pi near 18.7 and
+    # rows past it are +inf. A scan ranked on the design grid itself gives
+    # the same kappa* and q_opt.
+    window, grid_n = (15000.0, 25000.0), 4001
+    _unit_scan.cache_clear()
+    got = optimize_kappa(REF_LENGTH, target=target, search_range=window, grid_n=grid_n)
+    assert not np.isfinite(got.trace_q).all()
+    with monkeypatch.context() as mp:
+        mp.setattr(sensitivity, "SCAN_GRID_N", grid_n)
+        _unit_scan.cache_clear()
+        ref = optimize_kappa(REF_LENGTH, target=target, search_range=window,
+                             grid_n=grid_n)
+        _unit_scan.cache_clear()
+    assert (got.kappa_opt, got.q_opt, got.at_boundary) == \
+        (ref.kappa_opt, ref.q_opt, ref.at_boundary)
+    assert np.array_equal(np.isfinite(got.trace_q), np.isfinite(ref.trace_q))
 
 
 designed_kl = st.floats(5.5, 9.0)

@@ -11,8 +11,9 @@ from qasfg import sensitivity
 from qasfg.cli import main
 from qasfg.propagation import simulate_undepleted
 from qasfg.sensitivity import (
-    _unit_scan, eta_from_period_error, first_order_efficiency, optimize_kappa,
-    perturbation_coefficients, q_deltak, q_kappa,
+    KL_SEARCH_MAX, KL_SEARCH_MIN, SCAN_GRID_N, _unit_scan, eta_from_period_error,
+    first_order_efficiency, optimize_kappa, perturbation_coefficients, q_deltak,
+    q_kappa,
 )
 from qasfg.trajectory import (MismatchProfile, TrajectoryError, TrajectorySpec,
                               _theta, angle_profiles, delta_k_profile)
@@ -241,18 +242,30 @@ def test_small_offset_agreement_on_design():
 
 
 def test_trace_export(tmp_path):
-    # kappa_trace.csv holds the whole Q(kappa) trace of the search, in /cm
-    r = optimize_kappa(L, target="deltak", grid_n=1001)
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"design": {"L_mm": L * 1e3, "grid_N": 1001}}))
-    out = tmp_path / "out"
-    assert main(["sweep", "kappa-trace", "--config", str(cfg),
-                 "--out", str(out)]) == 0
-    with open(out / "kappa_trace.csv", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
-    assert rows[0] == ["kappa_per_cm", "q_value"]
-    assert len(rows) - 1 == len(r.trace_kappa)
-    assert [float(row[0]) for row in rows[1:]] == list(r.trace_kappa / 100.0)
+    # kappa_trace.csv holds the whole Q(kappa) trace of the search, in /cm:
+    # the scan rows on SCAN_GRID_N nodes, whatever grid_N kappa* is found on
+    scan = [sensitivity._q(x, 1.0, SCAN_GRID_N, "deltak")
+            for x in np.linspace(KL_SEARCH_MIN, KL_SEARCH_MAX, 400)]
+    columns = []
+    for grid_n in (1001, 4001):
+        r = optimize_kappa(L, target="deltak", grid_n=grid_n)
+        cfg = tmp_path / f"config{grid_n}.json"
+        cfg.write_text(json.dumps({"design": {"L_mm": L * 1e3, "grid_N": grid_n}}))
+        out = tmp_path / f"out{grid_n}"
+        assert main(["sweep", "kappa-trace", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        with open(out / "kappa_trace.csv", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+        assert rows[0] == ["kappa_per_cm", "q_value"]
+        assert len(rows) - 1 == len(r.trace_kappa)
+        assert [float(row[0]) for row in rows[1:]] == list(r.trace_kappa / 100.0)
+        assert [float(row[1]) for row in rows[1:]] == \
+            [q * L ** 2 if inside else np.inf for q, inside in scan]
+        columns.append([row[1] for row in rows[1:]])
+        summary = json.loads((out / "kappa_trace_summary.json").read_text())
+        assert summary["kappa_per_cm"] == r.kappa_opt / 100.0
+        assert summary["q_opt"] == r.q_opt
+    assert columns[0] == columns[1]
 
 
 @pytest.mark.parametrize("failing", ["caller", "helper"])
