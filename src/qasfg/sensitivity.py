@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .trajectory import _check_grid_n, _select_phase, _simpson, _theta
+from .trajectory import _check_grid_n, _grid_factors, _select_phase, _simpson, _theta
 
 __all__ = [
     "OptimizeResult", "q_deltak", "q_kappa", "perturbation_coefficients",
@@ -36,7 +36,8 @@ KL_SEARCH_MAX = 10.0
 
 # Grid samples in the row blocks of the batched kappa*L scan that are solved
 # at once, summed over all scan workers: about 0.5 MB per (rows, SCAN_GRID_N)
-# float array in total whatever the worker count is.
+# float array in total whatever the worker count is, so about 3 MB for the
+# workers' buffer sets (five such arrays and two half-width ones each).
 SCAN_SAMPLES = 1 << 16
 
 # Grid nodes of every kappa*L scan row, whatever the design grid: the rows
@@ -57,23 +58,25 @@ class OptimizeResult:
     trace_q: np.ndarray
 
 
-def _q_integral(target, m_select, sin_theta, theta_dot, z):
+def _q_integral(target, m_select, sin_theta, theta_dot, z, g=None, y=None,
+                half=None):
     """(1/4)|int e^{i m_select} g dz|^2 over the last axis, with g = sin(theta)
     for the deltak target and 2 theta' sin^2(theta) for kappa, as
-    (1/4)(Re^2 + Im^2) of the cos and sin integrals. The inputs are not
-    modified."""
+    (1/4)(Re^2 + Im^2) of the cos and sin integrals. The kappa target's g,
+    the integrand y and the Simpson panels (see _simpson) go to g, y and
+    half, or to new arrays. The inputs are not modified."""
     if target == "deltak":
         g = sin_theta
     else:
-        g = np.multiply(sin_theta, sin_theta)
+        g = np.multiply(sin_theta, sin_theta, out=g)
         g *= theta_dot
         g *= 2.0
-    y = np.cos(m_select)
+    y = np.cos(m_select, out=y)
     y *= g
-    re = _simpson(y, z)
+    re = _simpson(y, z, half)
     np.sin(m_select, out=y)
     y *= g
-    im = _simpson(y, z)
+    im = _simpson(y, z, half)
     return 0.25 * (re * re + im * im)
 
 
@@ -89,18 +92,42 @@ def q_kappa(angles):
                        angles.theta_dot, angles.z)
 
 
-def _q(k, length, grid_n, target):
+def _q_buffers(rows, grid_n):
+    """One set of work arrays for _q on grid_n nodes: five of shape
+    rows + (grid_n,) and two Simpson panel arrays of rows + ((grid_n - 1) // 2,),
+    where rows is () for a float coupling and (R,) for an (R, 1) column."""
+    full = tuple(np.empty(rows + (grid_n,)) for _ in range(5))
+    return full + tuple(np.empty(rows + ((grid_n - 1) // 2,)) for _ in range(2))
+
+
+def _q(k, length, grid_n, target, grid=None, buffers=None):
     """q of the target for the coupling k, a float or an (R, 1) column of
     couplings (one row each), and whether theta stays inside (0, pi) on the
     interior. The same numbers as q_deltak / q_kappa of angle_profiles, from
     only what q reads: theta, theta', theta'', sin(theta) once, cos(beta),
     m_select and the target integrand. q of a row whose theta leaves (0, pi)
-    is meaningless."""
-    z, theta, theta_dot, theta_ddot = _theta(k, length, grid_n)
+    is meaningless.
+
+    grid is _grid_factors(length, grid_n) and buffers a set from _q_buffers
+    (or one with each array cut to the first R rows), both built here when
+    None. Every temporary is written to the buffers, reused where their
+    live ranges allow: theta becomes sin(theta), theta'' the integrand y
+    and the cos(beta) array the selector rate, then the kappa target's g.
+    So a caller that passes one set to many calls allocates nothing per
+    call, and every call runs the same ufuncs in the same order."""
+    if grid is None:
+        grid = _grid_factors(length, grid_n)
+    if buffers is None:
+        buffers = _q_buffers(np.shape(k)[:-1], grid_n)
+    theta, theta_dot, theta_ddot, rate, m_select, half_a, half_b = buffers
+    z, theta, theta_dot, theta_ddot = _theta(k, grid, (theta, theta_dot, theta_ddot))
     sin_theta = np.sin(theta, out=theta)
-    inside = np.all(sin_theta[..., 1:-1] > 0.0, axis=-1)
-    m_select = _select_phase(k, z, theta_dot, theta_ddot, sin_theta)
-    return _q_integral(target, m_select, sin_theta, theta_dot, z), inside
+    inside = np.min(sin_theta[..., 1:-1], axis=-1) > 0.0
+    m_select = _select_phase(k, z, theta_dot, theta_ddot, sin_theta, rate, m_select,
+                             (half_a, half_b))
+    q = _q_integral(target, m_select, sin_theta, theta_dot, z, g=rate, y=theta_ddot,
+                    half=half_a)
+    return q, inside
 
 
 def perturbation_coefficients(angles):
@@ -142,12 +169,13 @@ def eta_from_period_error(rel_error, period):
     return float(out) if np.ndim(period) == 0 else out
 
 
-def _q_eval(kappa, length, grid_n, target):
-    """q at one coupling of the real problem, +inf where there is no valid
-    trajectory (kappa*L <= pi, or theta leaving (0, pi))."""
-    if kappa * length <= np.pi:
+def _q_eval(kappa, grid, target):
+    """q at one coupling of the real problem on the grid factors grid, +inf
+    where there is no valid trajectory (kappa*L <= pi, or theta leaving
+    (0, pi))."""
+    if kappa * grid.length <= np.pi:
         return np.inf
-    q, inside = _q(kappa, length, grid_n, target)
+    q, inside = _q(kappa, grid.length, grid.z.size, target, grid)
     return q if inside else np.inf
 
 
@@ -161,12 +189,17 @@ def _scan_workers(blocks):
     return min(cpus, blocks)
 
 
-def _solve_blocks(xs, qs, starts, rows, grid_n, target):
+def _solve_blocks(xs, qs, starts, rows, work, target):
     """Fill qs[i:i + rows] for each block start i with the unit-length q of
-    xs[i:i + rows], +inf where theta leaves (0, pi). Calls only private
+    xs[i:i + rows], +inf where theta leaves (0, pi). work is the pair
+    (grid factors, buffer set of rows rows): the buffer set serves every
+    block, a shorter last block its first rows. Calls only private
     kernels, so helper threads never enter a traced public function."""
+    grid, buffers = work
+    grid_n = grid.z.size
     for i in starts:
-        q, inside = _q(xs[i:i + rows, None], 1.0, grid_n, target)
+        k = xs[i:i + rows, None]
+        q, inside = _q(k, 1.0, grid_n, target, grid, [b[:len(k)] for b in buffers])
         qs[i:i + rows] = np.where(inside, q, np.inf)
 
 
@@ -179,11 +212,12 @@ def _downhill(xs, qs, grid_n, target):
     best = int(np.argmin(qs))
     if not np.isfinite(qs[best]):  # no valid row: optimize_kappa raises
         return best
+    grid = _grid_factors(1.0, grid_n)
     fine = {}
 
     def q_at(i):
         if i not in fine:
-            q, inside = _q(xs[i], 1.0, grid_n, target)
+            q, inside = _q(xs[i], 1.0, grid_n, target, grid)
             fine[i] = q if inside else np.inf
         return fine[i]
 
@@ -195,6 +229,40 @@ def _downhill(xs, qs, grid_n, target):
 
 
 @lru_cache(maxsize=64)
+def _scan_rows(target, x_lo, x_hi, scan_points):
+    """The scan of _unit_scan without the bracket: (xs, qs, brackets), where
+    brackets maps each grid_n already confirmed to its row index."""
+    xs = np.linspace(x_lo, x_hi, scan_points)
+    qs = np.empty(scan_points)
+    grid = _grid_factors(1.0, SCAN_GRID_N)
+    workers = _scan_workers(-(-scan_points // max(1, SCAN_SAMPLES // SCAN_GRID_N)))
+    rows = max(1, SCAN_SAMPLES // (workers * SCAN_GRID_N))
+    starts = range(0, scan_points, rows)
+    # every worker's buffer set is allocated here, on the calling thread
+    work = [(grid, _q_buffers((rows,), SCAN_GRID_N)) for _ in range(workers)]
+    errors = []
+
+    def helper(w):
+        try:
+            _solve_blocks(xs, qs, starts[w::workers], rows, work[w], target)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=helper, args=(w,))
+               for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        _solve_blocks(xs, qs, starts[0::workers], rows, work[0], target)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    xs.flags.writeable = qs.flags.writeable = False
+    return xs, qs, {}
+
+
 def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
     """The couplings x = linspace(x_lo, x_hi, scan_points), the sensitivity
     Q(x) of the unit-length problem on SCAN_GRID_N nodes (+inf where theta
@@ -209,46 +277,37 @@ def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
     alpha or m. The rows differ from rows on a finer grid by about 1e-5
     relative at most, less than the gaps between the minimum and its
     neighbours, so they rank the couplings as the design grid does;
-    _downhill confirms the argmin on grid_n, once per memoised scan, so a
-    warm call costs nothing.
+    _downhill confirms the argmin on grid_n.
+
+    The rows do not depend on grid_n, so they are memoised on (target,
+    x_lo, x_hi, scan_points) alone, and the confirmed index of each grid_n
+    is kept in the same cache entry: a warm call costs nothing, and a call
+    on a new grid only confirms its bracket. cache_info and cache_clear are
+    those of that one cache.
 
     The rows are solved in blocks of SCAN_SAMPLES // (workers * SCAN_GRID_N)
     rows, on the calling thread and one helper thread per further CPU of
     the affinity mask, at most one worker per SCAN_SAMPLES block. numpy
     releases the GIL in these passes. Worker w solves the block starts
-    starts[w::workers] into its own slices of qs, so SCAN_SAMPLES bounds
-    the live temporaries of all workers together and every row is the same
-    whatever the worker count. With one worker no thread is started. A
-    worker's exception is raised here after every helper has finished, so
-    no partial scan is cached. The arrays are shared between callers and
-    therefore read-only.
+    starts[w::workers] into its own slices of qs with its own buffer set
+    (_q_buffers), reused for all its blocks, so SCAN_SAMPLES bounds the
+    work arrays of all workers together and every row is the same whatever
+    the worker count. The grid factors and every worker's buffer set are
+    built once per scan, on the calling thread before any helper starts
+    (this kept peak RSS lower than allocating on each helper's thread).
+    With one worker no thread is started. A worker's exception is raised
+    here after every helper has finished, so no partial scan is cached. The
+    arrays are shared between callers and therefore read-only.
     """
-    xs = np.linspace(x_lo, x_hi, scan_points)
-    qs = np.empty(scan_points)
-    workers = _scan_workers(-(-scan_points // max(1, SCAN_SAMPLES // SCAN_GRID_N)))
-    rows = max(1, SCAN_SAMPLES // (workers * SCAN_GRID_N))
-    starts = range(0, scan_points, rows)
-    errors = []
+    xs, qs, brackets = _scan_rows(target, x_lo, x_hi, scan_points)
+    # two racing calls both confirm, and store the same index
+    if grid_n not in brackets:
+        brackets[grid_n] = _downhill(xs, qs, grid_n, target)
+    return xs, qs, brackets[grid_n]
 
-    def helper(w):
-        try:
-            _solve_blocks(xs, qs, starts[w::workers], rows, SCAN_GRID_N, target)
-        except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
 
-    threads = [threading.Thread(target=helper, args=(w,))
-               for w in range(1, workers)]
-    for t in threads:
-        t.start()
-    try:
-        _solve_blocks(xs, qs, starts[0::workers], rows, SCAN_GRID_N, target)
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-    xs.flags.writeable = qs.flags.writeable = False
-    return xs, qs, _downhill(xs, qs, grid_n, target)
+_unit_scan.cache_info = _scan_rows.cache_info
+_unit_scan.cache_clear = _scan_rows.cache_clear
 
 
 def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
@@ -258,11 +317,12 @@ def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
     Coarse uniform scan over the search range followed by golden-section
     refinement to within tol (rad/m). The scan runs in kappa*L on the
     unit-length problem at SCAN_GRID_N nodes, its minimum is confirmed on
-    grid_n, and it is memoised, so designs that share the target, grid and
-    kappa*L window share it. The refinement and q_opt are computed at the
-    real length on grid_n; trace_q holds the scan rows, rescaled to the
-    length. Invalid trajectories evaluate to +inf. A minimum on the range
-    boundary is reported via at_boundary, not hidden.
+    grid_n, and it is memoised, so designs that share the target and kappa*L
+    window share its rows, and those that also share the grid share its
+    bracket. The refinement and q_opt are computed at the real length on
+    grid_n, from grid factors built once; trace_q holds the scan rows,
+    rescaled to the length. Invalid trajectories evaluate to +inf. A
+    minimum on the range boundary is reported via at_boundary, not hidden.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; choose from {TARGETS}")
@@ -288,6 +348,7 @@ def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
     xs, qs_unit, best = _unit_scan(target, grid_n, x_lo, x_hi, scan_points)
     if not np.any(np.isfinite(qs_unit)):
         raise ValueError("no valid trajectory in the search range")
+    grid = _grid_factors(length, grid_n)
     ks = xs / length
     qs = qs_unit * length ** 2 if target == "deltak" else qs_unit.copy()
     at_boundary = best in (0, scan_points - 1)
@@ -297,20 +358,20 @@ def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
     inv_gr = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_gr * (b - a)
     d = a + inv_gr * (b - a)
-    qc = _q_eval(c, length, grid_n, target)
-    qd = _q_eval(d, length, grid_n, target)
+    qc = _q_eval(c, grid, target)
+    qd = _q_eval(d, grid, target)
     while b - a > tol:
         if qc < qd:
             b, d, qd = d, c, qc
             c = b - inv_gr * (b - a)
-            qc = _q_eval(c, length, grid_n, target)
+            qc = _q_eval(c, grid, target)
         else:
             a, c, qc = c, d, qd
             d = a + inv_gr * (b - a)
-            qd = _q_eval(d, length, grid_n, target)
+            qd = _q_eval(d, grid, target)
     kappa_opt = 0.5 * (a + b)
     return OptimizeResult(
         kappa_opt=float(kappa_opt),
-        q_opt=float(_q_eval(kappa_opt, length, grid_n, target)),
+        q_opt=float(_q_eval(kappa_opt, grid, target)),
         target=target, length=length, at_boundary=at_boundary,
         trace_kappa=ks, trace_q=qs)

@@ -11,12 +11,12 @@ from qasfg import sensitivity
 from qasfg.cli import main
 from qasfg.propagation import simulate_undepleted
 from qasfg.sensitivity import (
-    KL_SEARCH_MAX, KL_SEARCH_MIN, SCAN_GRID_N, _unit_scan, eta_from_period_error,
-    first_order_efficiency, optimize_kappa, perturbation_coefficients, q_deltak,
-    q_kappa,
+    KL_SEARCH_MAX, KL_SEARCH_MIN, SCAN_GRID_N, TARGETS, _q, _q_buffers, _unit_scan,
+    eta_from_period_error, first_order_efficiency, optimize_kappa,
+    perturbation_coefficients, q_deltak, q_kappa,
 )
 from qasfg.trajectory import (MismatchProfile, TrajectoryError, TrajectorySpec,
-                              _theta, angle_profiles, delta_k_profile)
+                              _grid_factors, _theta, angle_profiles, delta_k_profile)
 
 L = 1e-3
 
@@ -94,7 +94,7 @@ def test_design_mismatch_is_the_theta_path(target, design_dk, design_k):
     # delta_k of a built design, recomputed from the closed-form trajectory
     design = design_dk if target == "deltak" else design_k
     k, length = design.kappa, design.length
-    z, theta, theta_dot, theta_ddot = _theta(k, length, design.mismatch.z.size)
+    z, theta, theta_dot, theta_ddot = _theta(k, _grid_factors(length, design.mismatch.z.size))
     cos_beta = np.sqrt(np.clip(1.0 - (theta_dot / k) ** 2, 0.0, None))
     edge = np.sqrt(60.0 * (k * length - np.pi) / (k * length ** 3))
     dk = np.empty_like(z)
@@ -274,11 +274,11 @@ def test_scan_worker_error_reaches_caller_uncached(monkeypatch, failing):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     real_q = sensitivity._q
 
-    def broken_q(k, length, grid_n, target):
+    def broken_q(k, length, grid_n, target, *args):
         on_caller = threading.current_thread() is threading.main_thread()
         if on_caller == (failing == "caller"):
             raise RuntimeError("broken block")
-        return real_q(k, length, grid_n, target)
+        return real_q(k, length, grid_n, target, *args)
 
     _unit_scan.cache_clear()
     monkeypatch.setattr(sensitivity, "_q", broken_q)
@@ -292,3 +292,108 @@ def test_scan_worker_error_reaches_caller_uncached(monkeypatch, failing):
     serial = optimize_kappa(L, grid_n=1001)
     assert (threaded.kappa_opt, threaded.q_opt) == (serial.kappa_opt, serial.q_opt)
     assert np.array_equal(threaded.trace_q, serial.trace_q)
+
+
+def _reference_q(k, length, grid_n, target):
+    """The q kernel with a new array for every operation, as it stood before
+    the grid factors and buffer sets: the bit-for-bit reference of _q."""
+    z = np.linspace(0.0, length, grid_n)
+    s = z / length
+    d = k * length - np.pi
+    theta = k * z - d * (10 * s ** 3 - 15 * s ** 4 + 6 * s ** 5)
+    theta_dot = k - (30.0 * d / length) * s ** 2 * (1 - s) ** 2
+    theta_ddot = -(60.0 * d / length ** 2) * s * (1 - s) * (1 - 2 * s)
+    sin_theta = np.sin(theta)
+    inside = np.all(sin_theta[..., 1:-1] > 0.0, axis=-1)
+    c = theta_dot / k
+    rate = np.sqrt(np.maximum(1.0 - c * c, 0.0)) * -k
+    inner = rate[..., 1:-1]
+    inner += theta_ddot[..., 1:-1] / inner
+    inner /= sin_theta[..., 1:-1]
+    rate[..., 0], rate[..., -1] = rate[..., 1], rate[..., -2]
+    dx = (z[-1] - z[0]) / (z.size - 1)
+    left, mid, right = rate[..., :-2:2], rate[..., 1:-1:2], rate[..., 2::2]
+    m_select = np.zeros_like(rate)
+    np.cumsum((left + 4.0 * mid + right) * (dx / 3.0), axis=-1,
+              out=m_select[..., 2::2])
+    m_select[..., 1::2] = (m_select[..., :-1:2]
+                           + (5.0 * left + 8.0 * mid - right) * (dx / 12.0))
+    g = sin_theta if target == "deltak" else sin_theta * sin_theta * theta_dot * 2.0
+
+    def simpson(y):
+        return np.sum(y[..., :-2:2] + 4.0 * y[..., 1:-1:2] + y[..., 2::2],
+                      axis=-1) * (dx / 3.0)
+
+    re, im = simpson(np.cos(m_select) * g), simpson(np.sin(m_select) * g)
+    return 0.25 * (re * re + im * im), inside
+
+
+def _same(got, ref):
+    # rows whose theta leaves (0, pi) may hold NaN q; their masks must agree
+    return all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, ref))
+
+
+# 75 unit-length rows: the default window, and kappa*L 15-25, where theta
+# grazes pi near 18.7 and the rows past it are +inf in a scan
+SCAN_WINDOWS = {"default": (KL_SEARCH_MIN, KL_SEARCH_MAX), "grazing": (15.0, 25.0)}
+
+
+@pytest.mark.parametrize("window", SCAN_WINDOWS)
+@pytest.mark.parametrize("grid_n", [1001, 3001, 4001, 5001])
+@pytest.mark.parametrize("target", TARGETS)
+def test_scan_blocks_on_one_buffer_set_match_reference_kernel(target, grid_n, window):
+    xs = np.linspace(*SCAN_WINDOWS[window], 75)[:, None]
+    ref = _reference_q(xs, 1.0, grid_n, target)
+    assert window == "default" or not ref[1].all()
+    grid = sensitivity._grid_factors(1.0, grid_n)
+    # 75 rows in blocks of 65, 32 and 7 end in a partial block
+    for rows in (1, 7, 32, 65):
+        buffers = _q_buffers((rows,), grid_n)
+        q, inside = np.empty(75), np.empty(75, dtype=bool)
+        for i in range(0, 75, rows):
+            k = xs[i:i + rows]
+            q[i:i + rows], inside[i:i + rows] = _q(
+                k, 1.0, grid_n, target, grid, [b[:len(k)] for b in buffers])
+        assert _same((q, inside), ref)
+    assert _same(_q(xs, 1.0, grid_n, target), ref)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_scan_buffer_set_reused_in_reverse_block_order(target):
+    xs = np.linspace(KL_SEARCH_MIN, 25.0, 50)[:, None]
+    grid = sensitivity._grid_factors(1.0, SCAN_GRID_N)
+    buffers = _q_buffers((8,), SCAN_GRID_N)
+    for i in reversed(range(0, 50, 8)):
+        k = xs[i:i + 8]
+        got = _q(k, 1.0, SCAN_GRID_N, target, grid, [b[:len(k)] for b in buffers])
+        assert _same(got, _reference_q(k, 1.0, SCAN_GRID_N, target))
+
+
+@pytest.mark.parametrize("grid_n", [1001, 4001])
+@pytest.mark.parametrize("target", TARGETS)
+def test_scan_kernel_scalar_k_at_real_lengths_matches_reference(target, grid_n):
+    for length in (0.2e-3, 1e-3, 20e-3):
+        grid = sensitivity._grid_factors(length, grid_n)
+        for kl in (3.3, 7.5, 12.0, 19.0):
+            k = kl / length
+            ref = _reference_q(k, length, grid_n, target)
+            assert _same(_q(k, length, grid_n, target), ref)
+            assert _same(_q(k, length, grid_n, target, grid), ref)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_scan_rows_are_solved_once_for_every_grid(target):
+    # the rows do not depend on grid_n; only the confirmed bracket does
+    grids = (3001, 4001, 5001)
+    _unit_scan.cache_clear()
+    warm = [optimize_kappa(L, target=target, grid_n=g) for g in grids]
+    assert _unit_scan.cache_info().misses == 1
+    assert _unit_scan.cache_info().currsize == 1
+    for g, r in zip(grids, warm):
+        _unit_scan.cache_clear()
+        cold = optimize_kappa(L, target=target, grid_n=g)
+        assert (r.kappa_opt, r.q_opt, r.at_boundary) == \
+            (cold.kappa_opt, cold.q_opt, cold.at_boundary)
+        assert np.array_equal(r.trace_q, cold.trace_q)
+    _unit_scan.cache_clear()
+    assert _unit_scan.cache_info().currsize == 0

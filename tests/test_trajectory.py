@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qasfg.trajectory import (
-    TrajectoryError, TrajectorySpec, angle_profiles, beta_profile,
-    boundary_check, delta_k_profile,
+    TrajectoryError, TrajectorySpec, _grid_factors, _theta, angle_profiles,
+    beta_profile, boundary_check, delta_k_profile,
 )
 
 KAPPA, LENGTH = 7623.0, 1e-3
@@ -177,3 +177,28 @@ def test_boundary_check_catches_tampering(angles, mismatch):
     report = boundary_check(replace(angles, theta=theta_bad), mismatch)
     assert not report["all_ok"]
     assert not report["theta_end"]["ok"]
+
+
+def _closed_form_theta(k, L, grid_n):
+    """The trajectory formed inline, every grid array rebuilt per call: the
+    bit-for-bit reference of _theta on cached grid factors."""
+    z = np.linspace(0.0, L, grid_n)
+    s = z / L
+    d = k * L - np.pi
+    theta = k * z - d * (10 * s ** 3 - 15 * s ** 4 + 6 * s ** 5)
+    theta_dot = k - (30.0 * d / L) * s ** 2 * (1 - s) ** 2
+    theta_ddot = -(60.0 * d / L ** 2) * s * (1 - s) * (1 - 2 * s)
+    return z, theta, theta_dot, theta_ddot
+
+
+@pytest.mark.parametrize("grid_n", [1001, 4001])
+@pytest.mark.parametrize("length", [0.2e-3, 1e-3, 20e-3, 1.0])
+def test_theta_on_grid_factors_is_the_closed_form(length, grid_n):
+    grid = _grid_factors(length, grid_n)
+    column = np.linspace(1.05 * np.pi, 25.0, 9)[:, None] / length
+    for k in (7.3 / length, float(column[4, 0]), column):
+        ref = _closed_form_theta(k, length, grid_n)
+        out = tuple(np.full(np.shape(ref[1]), np.nan) for _ in range(3))
+        for got in (_theta(k, grid), _theta(k, grid, out)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        assert all(a is b for a, b in zip(got[1:], out))
