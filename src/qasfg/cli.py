@@ -61,12 +61,13 @@ DEFAULT_CONFIG = {
 }
 
 SWEEP_NAMES = ("bandwidth", "period", "pump", "length", "signal", "kappa-trace")
-# Each sweep block's range keys and the value its lower end must exceed.
-SWEEP_RANGES = {"bandwidth": ("lambda_min_um", "lambda_max_um", 0.0),
-                "period": ("min_pct", "max_pct", -100.0),
-                "pump": ("min_pct", "max_pct", -100.0),
-                "length": ("min_mm", "max_mm", 0.0),
-                "signal": ("ratio_min", "ratio_max", 0.0)}
+# Each sweep block's range keys and the values its ends must stay inside: a
+# period error of -100 % or +100 % or beyond has no first-order estimate.
+SWEEP_RANGES = {"bandwidth": ("lambda_min_um", "lambda_max_um", 0.0, math.inf),
+                "period": ("min_pct", "max_pct", -100.0, 100.0),
+                "pump": ("min_pct", "max_pct", -100.0, math.inf),
+                "length": ("min_mm", "max_mm", 0.0, math.inf),
+                "signal": ("ratio_min", "ratio_max", 0.0, math.inf)}
 
 
 class ConfigError(ValueError):
@@ -106,16 +107,17 @@ def _merge_validate(user, default, path=""):
 
 
 def _check_sweeps(sweeps):
-    """Every sweep block needs samples >= 1 and bound < min < max < inf."""
-    for name, (lo, hi, bound) in SWEEP_RANGES.items():
+    """Every sweep block needs samples >= 1 and lower < min < max < upper."""
+    for name, (lo, hi, lower, upper) in SWEEP_RANGES.items():
         block = sweeps[name]
         if block["samples"] < 1:
             raise ConfigError(f"bad value for config key sweeps.{name}.samples: "
                               f"need at least 1, got {block['samples']}")
-        if not bound < block[lo] < block[hi] < math.inf:
+        if not lower < block[lo] < block[hi] < upper:
             raise ConfigError(
                 f"bad range for config keys sweeps.{name}.{lo} and sweeps.{name}.{hi}: "
-                f"need {bound:g} < {lo} < {hi}, got {block[lo]!r} and {block[hi]!r}")
+                f"need {lower:g} < {lo} < {hi} < {upper:g}, "
+                f"got {block[lo]!r} and {block[hi]!r}")
 
 
 def _check_values(cfg):

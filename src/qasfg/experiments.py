@@ -12,7 +12,7 @@ from .materials import (DispersionModel, NonlinearConstants, WaveTriplet,
                         pump_intensity, poling_period)
 from .propagation import (FieldState, simulate_undepleted, simulate_depleted,
                           undepleted_efficiencies, lz_linear_chirp, _check_steps)
-from .sensitivity import (eta_from_period_error, first_order_efficiency,
+from .sensitivity import (_first_order_estimates, eta_from_period_error,
                           optimize_kappa)
 from .trajectory import (AngleProfiles, TrajectorySpec, MismatchProfile,
                          angle_profiles, delta_k_profile)
@@ -189,14 +189,15 @@ def robustness_period_sweep(design, rel_min=-0.20, rel_max=0.20, samples=81,
     dkm = design.triplet.material_mismatch
     coupling = LAB_FRAME_COUPLING * design.kappa
     xs = np.linspace(rel_min, rel_max, samples)
+    # the error profile -2 pi x / period(z) is x's amplitude over period(z)
+    amplitudes = np.array([eta_from_period_error(x, 1.0) for x in xs])
     scales = 1.0 / (1.0 + xs)
     for scale in scales:
         _check_steps(steps, coupling, dkm + (dk0 - dkm) * scale, design.length)
     etas = undepleted_efficiencies(
         z, dkm * z * (1.0 - scales[:, None]) + phi0 * scales[:, None], coupling)
-    estimates = np.array([first_order_efficiency(
-        design.angles, eta_deltak=eta_from_period_error(x, design.poling_period_m))
-        for x in xs])
+    estimates = _first_order_estimates(design.angles, amplitudes,
+                                       eta_deltak=1.0 / design.poling_period_m)
     summary = {"tolerance_intervals": {
         str(t): tolerance_interval(xs, etas, t) for t in thresholds}}
     summary["eta_at_zero"] = float(etas[int(np.argmin(np.abs(xs)))])
@@ -215,8 +216,8 @@ def robustness_pump_sweep(design, rel_min=-0.25, rel_max=0.25, samples=81,
     for coupling in couplings:
         _check_steps(steps, coupling, dk0, design.length)
     etas = undepleted_efficiencies(z, np.broadcast_to(phi0, (samples, len(z))), couplings)
-    estimates = np.array([first_order_efficiency(
-        design.angles, eta_kappa=np.sqrt(1.0 + x) - 1.0) for x in xs])
+    estimates = _first_order_estimates(design.angles, np.sqrt(1.0 + xs) - 1.0,
+                                       eta_kappa=1.0)
     summary = {"tolerance_intervals": {
         str(t): tolerance_interval(xs, etas, t) for t in thresholds}}
     summary["eta_at_zero"] = float(etas[int(np.argmin(np.abs(xs)))])

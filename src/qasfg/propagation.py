@@ -148,28 +148,42 @@ def simulate_undepleted(mismatch, kappa, steps=20000, initial=None,
                            steps=total)
 
 
-_CHUNK = 16  # points per pass; peak memory ~90 bytes per cell and point
+# Points x cells multiplied per pass of undepleted_efficiencies: at most
+# 256 kB per complex temporary and about 1.5 MB per pass. glibc then keeps a
+# pass's arrays in the heap for the next pass rather than returning them to
+# the OS and faulting them in again, and no conjugate temporary reaches the
+# 256 kB at which numpy reuses it in place, which would swap the operands of
+# its complex product and their FMA rounding (DECISIONS.md).
+_PASS_POINT_CELLS = 1 << 14
+
+
+def _pass_points(cells):
+    """Points per pass of undepleted_efficiencies on profiles of this many
+    cells: 4 at 4001 nodes, 16 at 1001, at least 1."""
+    return max(1, _PASS_POINT_CELLS // cells)
 
 
 def undepleted_efficiencies(z, phi, coupling):
     """Exact undepleted |A3(L)|^2, A1(0) = 1, of P points: phi (P, N) on the
     node grid z, (P, N) or (N,), at the P lab-frame pair couplings, one
-    _rotations matrix per cell multiplied in a pairwise tree. A point's
-    result is bit-identical in any batch or order."""
+    _rotations matrix per cell multiplied in a pairwise tree, _pass_points
+    points at a time. A point's result is bit-identical in any batch or
+    order."""
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     z = np.broadcast_to(np.asarray(z, dtype=float), phi.shape)
     coupling = np.broadcast_to(np.asarray(coupling, dtype=float), phi.shape[:1])
     eta = np.empty(phi.shape[0])
-    for s in range(0, len(eta), _CHUNK):
-        h = np.diff(z[s:s + _CHUNK], axis=1)
-        d = np.diff(phi[s:s + _CHUNK], axis=1) / h
-        a, b = _rotations(coupling[s:s + _CHUNK, None], d, h)
+    step = _pass_points(phi.shape[1] - 1)
+    for s in range(0, len(eta), step):
+        h = np.diff(z[s:s + step], axis=1)
+        d = np.diff(phi[s:s + step], axis=1) / h
+        a, b = _rotations(coupling[s:s + step, None], d, h)
         while a.shape[1] > 1:
             n = a.shape[1] // 2 * 2  # an odd last cell is carried up a level
             a1, b1, a2, b2 = a[:, 0:n:2], b[:, 0:n:2], a[:, 1:n:2], b[:, 1:n:2]
             a, b = (np.concatenate([a2 * a1 - b2 * b1.conj(), a[:, n:]], axis=1),
                     np.concatenate([a2 * b1 + b2 * a1.conj(), b[:, n:]], axis=1))
-        eta[s:s + _CHUNK] = np.abs(b[:, 0]) ** 2
+        eta[s:s + step] = np.abs(b[:, 0]) ** 2
     return eta
 
 

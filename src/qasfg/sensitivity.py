@@ -143,6 +143,18 @@ def perturbation_coefficients(angles):
     return 0.25 * np.abs(s1) ** 2, 0.25 * np.abs(s2) ** 2
 
 
+def _first_order_estimates(angles, amplitudes, eta_deltak=0.0, eta_kappa=0.0):
+    """first_order_efficiency at each error profile amplitudes[i] *
+    (eta_deltak, eta_kappa), from its integral at unit amplitude taken once:
+    1 - (1/4)|amplitude * integral|^2, clamped to [0, 1]."""
+    phase = np.exp(1j * angles.m)
+    integ = phase * (1j * np.asarray(eta_deltak) * np.sin(angles.theta)
+                     + 2.0 * eta_kappa * angles.theta_dot
+                     * np.sin(angles.theta) ** 2)
+    unit = _simpson(integ, angles.z)
+    return np.clip(1.0 - 0.25 * np.abs(amplitudes * unit) ** 2, 0.0, 1.0)
+
+
 def first_order_efficiency(angles, eta_deltak=0.0, eta_kappa=0.0):
     """First-order perturbed efficiency, clamped to [0, 1]:
 
@@ -152,12 +164,7 @@ def first_order_efficiency(angles, eta_deltak=0.0, eta_kappa=0.0):
     eta_deltak may be a scalar or a profile sampled on the angles grid
     (e.g. a period-error amplitude varying with the local period).
     """
-    phase = np.exp(1j * angles.m)
-    integ = phase * (1j * np.asarray(eta_deltak) * np.sin(angles.theta)
-                     + 2.0 * eta_kappa * angles.theta_dot
-                     * np.sin(angles.theta) ** 2)
-    full = 1.0 - 0.25 * np.abs(_simpson(integ, angles.z)) ** 2
-    return float(min(max(full, 0.0), 1.0))
+    return float(_first_order_estimates(angles, 1.0, eta_deltak, eta_kappa))
 
 
 def eta_from_period_error(rel_error, period):

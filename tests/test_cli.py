@@ -286,6 +286,8 @@ def test_integer_and_boolean_keys_typed(tmp_path, capsys, block, key, value):
     ("length", {"min_mm": 2.0, "max_mm": 2.0}, "sweeps.length.max_mm"),
     ("bandwidth", {"lambda_min_um": -1.0}, "sweeps.bandwidth.lambda_min_um"),
     ("signal", {"ratio_min": 0.0}, "sweeps.signal.ratio_min"),
+    ("period", {"min_pct": -10.0, "max_pct": 150.0, "samples": 5}, "sweeps.period.max_pct"),
+    ("period", {"max_pct": 100.0}, "sweeps.period.max_pct"),
 ])
 def test_bad_sweep_block_names_key(tmp_path, capsys, sweep, block, named):
     # checked when the config loads: exit 2 naming the key, for any subcommand

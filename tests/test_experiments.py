@@ -12,6 +12,7 @@ from qasfg.experiments import (
 )
 from qasfg.materials import coupling_coefficient
 from qasfg.propagation import lz_linear_chirp, simulate_undepleted
+from qasfg.sensitivity import eta_from_period_error, first_order_efficiency
 from qasfg.trajectory import (TrajectorySpec, angle_profiles, boundary_check,
                               delta_k_profile)
 
@@ -142,6 +143,33 @@ def test_robustness_estimate_overlay_tracks_simulation(design_dk):
         assert np.abs(result.estimates - result.efficiencies).max() < 1e-3
 
 
+def test_sweep_estimates_match_per_point_first_order(design_dk, design_k):
+    # one unit-amplitude integral per sweep, scaled per sample, against
+    # first_order_efficiency at each sample, clamped samples included
+    clamped = {"period": False, "pump": False}
+    for design in (design_dk, design_k):
+        for lo, hi, bound in ((-0.2, 0.2, 2e-15), (-0.9, 0.95, 1e-14)):
+            # far from x = 0 the integral cancels more, and the two roundings
+            # differ by up to 7.4e-15 over 0.2-20 mm designs
+            # steps is only checked; at -90 % the grating term grows tenfold
+            xs = np.linspace(lo, hi, 41)
+            result = robustness_period_sweep(design, lo, hi, 41, steps=10 ** 6)
+            direct = [first_order_efficiency(design.angles, eta_deltak=eta_from_period_error(
+                x, design.poling_period_m)) for x in xs]
+            assert np.abs(result.estimates - direct).max() <= bound
+            clamped["period"] |= bool(np.any(result.estimates == 0.0))
+        xs = np.linspace(-0.25, 10.0, 41)
+        result = robustness_pump_sweep(design, -0.25, 10.0, 41, steps=STEPS)
+        direct = [first_order_efficiency(design.angles, eta_kappa=np.sqrt(1.0 + x) - 1.0)
+                  for x in xs]
+        assert np.abs(result.estimates - direct).max() <= 2e-15
+        clamped["pump"] |= bool(np.any(result.estimates == 0.0))
+    assert clamped == {"period": True, "pump": True}
+    for hi in (1.0, 1.5):
+        with pytest.raises(ValueError, match="relative period error"):
+            robustness_period_sweep(design_dk, -0.5, hi, 3, steps=STEPS)
+
+
 def test_signal_sweep(design_dk):
     result = signal_intensity_sweep(design_dk, ratio_min=0.01, ratio_max=1.0,
                                     samples=12, steps=6000)
@@ -165,7 +193,7 @@ def test_efficiency_vs_length_flatness():
     assert sweeps.lz.summary["kappa_per_cm"] == pytest.approx(75.1, abs=2.0)
 
 
-def test_length_sweep_matches_rk4():
+def test_length_sweep_tree_matches_exact_recorder():
     # both arms of the length sweep's pairwise tree against the sequential
     # recorder on the same profiles, rebuilt from the sweep's own summary
     lengths = np.geomspace(0.2e-3, 20e-3, 3)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qasfg.cli import main
-from qasfg.experiments import LAB_FRAME_COUPLING, simulate_design
+from qasfg.experiments import LAB_FRAME_COUPLING, assemble_design, simulate_design
 from qasfg.propagation import (
-    _CHUNK, FieldState, PropagationError, constant_mismatch, lz_linear_chirp,
+    _pass_points, FieldState, PropagationError, constant_mismatch, lz_linear_chirp,
     simulate_depleted, simulate_undepleted, undepleted_efficiencies,
 )
 from qasfg.trajectory import TrajectorySpec, angle_profiles, delta_k_profile
@@ -143,22 +143,24 @@ def test_recorder_matches_exact_propagator(case, design_dk):
 
 def test_exact_propagator_batch_independent(design_dk):
     # a point's eta is the same to the bit alone, in any order, and on
-    # either side of a chunk boundary
-    m = design_dk.mismatch
-    points = 2 * _CHUNK + 3
-    scales = 1.0 / (1.0 + np.linspace(-0.05, 0.05, points))
-    phi = 1e3 * m.z * (1.0 - scales[:, None]) + m.phi * scales[:, None]
-    couplings = 0.5 * design_dk.kappa * np.linspace(0.9, 1.1, points)
-    batch = undepleted_efficiencies(m.z, phi, couplings)
-    alone = [undepleted_efficiencies(m.z, phi[i], couplings[i])[0]
-             for i in range(points)]
-    assert np.array_equal(batch, alone)
-    order = np.random.default_rng(7).permutation(points)
-    assert np.array_equal(undepleted_efficiencies(m.z, phi[order], couplings[order]),
-                          batch[order])
-    shifted = undepleted_efficiencies(np.tile(m.z, (points - 5, 1)), phi[5:],
-                                      couplings[5:])
-    assert np.array_equal(shifted, batch[5:])
+    # either side of a pass boundary: 4, 16 and 3 points per pass
+    for grid_n in (4001, 1001, 5001):
+        m = assemble_design(design_dk.kappa, design_dk.length, "deltak",
+                            grid_n=grid_n).mismatch
+        points = 2 * _pass_points(grid_n - 1) + 3
+        scales = 1.0 / (1.0 + np.linspace(-0.05, 0.05, points))
+        phi = 1e3 * m.z * (1.0 - scales[:, None]) + m.phi * scales[:, None]
+        couplings = 0.5 * design_dk.kappa * np.linspace(0.9, 1.1, points)
+        batch = undepleted_efficiencies(m.z, phi, couplings)
+        alone = [undepleted_efficiencies(m.z, phi[i], couplings[i])[0]
+                 for i in range(points)]
+        assert np.array_equal(batch, alone)
+        order = np.random.default_rng(7).permutation(points)
+        assert np.array_equal(undepleted_efficiencies(m.z, phi[order], couplings[order]),
+                              batch[order])
+        shifted = undepleted_efficiencies(np.tile(m.z, (points - 5, 1)), phi[5:],
+                                          couplings[5:])
+        assert np.array_equal(shifted, batch[5:])
 
 
 def _sequential_product_eta(z, phi, coupling):
