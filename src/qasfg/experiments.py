@@ -11,7 +11,7 @@ from .materials import (DispersionModel, NonlinearConstants, WaveTriplet,
                         coupling_coefficient, pump_amplitude_for_kappa,
                         pump_intensity, poling_period)
 from .propagation import (FieldState, simulate_undepleted, simulate_depleted,
-                          undepleted_efficiencies, lz_linear_chirp, _check_steps)
+                          undepleted_efficiencies, lz_linear_chirp)
 from .sensitivity import (_first_order_estimates, eta_from_period_error,
                           optimize_kappa)
 from .trajectory import (AngleProfiles, TrajectorySpec, MismatchProfile,
@@ -152,18 +152,16 @@ def bandwidth_sweep(design, lam_min=2.6e-6, lam_max=3.6e-6, samples=201,
     The poling profile and the pump drive are frozen; each wavelength gets
     its own material mismatch offset and its own coupling rate (same pump
     amplitude, new frequencies and indices). Like every undepleted sweep,
-    it is solved exactly on the profile grid by undepleted_efficiencies:
-    steps is only checked per point, and workers is ignored.
+    it is solved exactly on the profile grid by undepleted_efficiencies, so
+    it takes no steps: steps and workers are accepted and ignored.
     """
-    z, dk0, phi0 = design.mismatch.z, design.mismatch.delta_k, design.mismatch.phi
+    z, phi0 = design.mismatch.z, design.mismatch.phi
     dkm0 = design.triplet.material_mismatch
     lams = np.linspace(lam_min, lam_max, samples)
     trips = [make_wave_triplet(lam, design.triplet.lam2, design.model) for lam in lams]
     offsets = np.array([trip.material_mismatch - dkm0 for trip in trips])
     couplings = LAB_FRAME_COUPLING * np.array([coupling_coefficient(
         design.pump_amplitude, trip, design.nonlinear) for trip in trips])
-    for offset, coupling in zip(offsets, couplings):
-        _check_steps(steps, coupling, dk0 + offset, design.length)
     etas = undepleted_efficiencies(z, phi0 + offsets[:, None] * z, couplings)
     lo, hi, width, truncated = fwhm_interval(lams, etas)
     summary = {
@@ -181,19 +179,18 @@ def robustness_period_sweep(design, rel_min=-0.20, rel_max=0.20, samples=81,
     """Uniformly scale the poling period by (1 + x) and re-simulate.
 
     The grating wavevector scales as 1/(1 + x) at every sample; the material
-    mismatch is untouched. Solved as bandwidth_sweep; workers is ignored.
+    mismatch is untouched. Solved as bandwidth_sweep; steps and workers are
+    accepted and ignored.
     """
     if rel_min <= -1.0:
         raise ValueError("relative period error must stay above -100%")
-    z, dk0, phi0 = design.mismatch.z, design.mismatch.delta_k, design.mismatch.phi
+    z, phi0 = design.mismatch.z, design.mismatch.phi
     dkm = design.triplet.material_mismatch
     coupling = LAB_FRAME_COUPLING * design.kappa
     xs = np.linspace(rel_min, rel_max, samples)
     # the error profile -2 pi x / period(z) is x's amplitude over period(z)
     amplitudes = np.array([eta_from_period_error(x, 1.0) for x in xs])
     scales = 1.0 / (1.0 + xs)
-    for scale in scales:
-        _check_steps(steps, coupling, dkm + (dk0 - dkm) * scale, design.length)
     etas = undepleted_efficiencies(
         z, dkm * z * (1.0 - scales[:, None]) + phi0 * scales[:, None], coupling)
     estimates = _first_order_estimates(design.angles, amplitudes,
@@ -207,14 +204,12 @@ def robustness_period_sweep(design, rel_min=-0.20, rel_max=0.20, samples=81,
 def robustness_pump_sweep(design, rel_min=-0.25, rel_max=0.25, samples=81,
                           steps=20000, workers=1, thresholds=(0.99, 0.95, 0.90, 0.80)):
     """Scale the pump intensity by (1 + x); the coupling scales as sqrt(1 + x).
-    Solved as bandwidth_sweep; workers is ignored."""
+    Solved as bandwidth_sweep; steps and workers are accepted and ignored."""
     if rel_min <= -1.0:
         raise ValueError("relative intensity error must stay above -100%")
-    z, dk0, phi0 = design.mismatch.z, design.mismatch.delta_k, design.mismatch.phi
+    z, phi0 = design.mismatch.z, design.mismatch.phi
     xs = np.linspace(rel_min, rel_max, samples)
     couplings = LAB_FRAME_COUPLING * design.kappa * np.sqrt(1.0 + xs)
-    for coupling in couplings:
-        _check_steps(steps, coupling, dk0, design.length)
     etas = undepleted_efficiencies(z, np.broadcast_to(phi0, (samples, len(z))), couplings)
     estimates = _first_order_estimates(design.angles, np.sqrt(1.0 + xs) - 1.0,
                                        eta_kappa=1.0)
@@ -233,7 +228,8 @@ def efficiency_vs_length(target="deltak", lengths=None, model=DispersionModel(),
     The engineered design uses the scaling law kappa*(L) * L = const anchored
     at the reference length. The chirp baseline keeps the reference coupling
     and ramps the mismatch linearly between the reference design's endpoint
-    values over each length. Solved as bandwidth_sweep; workers is ignored.
+    values over each length. Solved as bandwidth_sweep; steps and workers
+    are accepted and ignored.
     """
     if lengths is None:
         lengths = np.geomspace(0.2e-3, 20e-3, 25)
@@ -251,8 +247,6 @@ def efficiency_vs_length(target="deltak", lengths=None, model=DispersionModel(),
     for i, L in enumerate(lengths):
         mism = delta_k_profile(angle_profiles(TrajectorySpec(kl_const / L, L, grid_n)))
         chirp = lz_linear_chirp(-dk_extreme, dk_extreme, L, grid_n)
-        _check_steps(steps, qa_couplings[i], mism.delta_k, L)
-        _check_steps(steps, lz_coupling, chirp.delta_k, L)
         qa_z[i], qa_phi[i], lz_z[i], lz_phi[i] = mism.z, mism.phi, chirp.z, chirp.phi
     qa = undepleted_efficiencies(qa_z, qa_phi, qa_couplings)
     lz = undepleted_efficiencies(lz_z, lz_phi, lz_coupling)

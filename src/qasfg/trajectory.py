@@ -262,7 +262,7 @@ def delta_k_profile(angles):
     """
     k = angles.kappa
     z, theta = angles.z, angles.theta
-    cos_beta = np.sqrt(np.clip(1.0 - (angles.theta_dot / k) ** 2, 0.0, None))
+    cos_beta = _cos_beta(k, angles.theta_dot)
     sin_theta = np.sin(theta)
 
     dk = np.empty_like(z)

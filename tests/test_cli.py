@@ -176,6 +176,20 @@ def test_length_sweep_outputs(tmp_path):
     assert "chirp_baseline" in summary
 
 
+@pytest.mark.parametrize("sweep", ["bandwidth", "period", "pump", "length"])
+def test_exact_sweeps_ignore_steps(tmp_path, sweep):
+    # the undepleted sweeps take no steps, so any positive count gives the
+    # same rows as the default 20000
+    rows = []
+    for steps in (10, 20000):
+        cfg = write_config(tmp_path, {"simulation": {"steps": steps}},
+                           name=f"steps{steps}.json")
+        out = tmp_path / f"out{steps}"
+        assert main(["sweep", sweep, "--config", cfg, "--out", str(out)]) == 0
+        rows.append((out / f"{sweep}.csv").read_text().splitlines()[2:])
+    assert rows[0] == rows[1]
+
+
 def test_optimize_outputs(tmp_path):
     # the kappa* search has one subcommand, `sweep kappa-trace`
     cfg = write_config(tmp_path)
