@@ -120,16 +120,25 @@ def _check_sweeps(sweeps):
                 f"got {block[lo]!r} and {block[hi]!r}")
 
 
+def _check_open(source, key, value, lo, hi):
+    """Raise ConfigError naming the source's key unless lo < value < hi."""
+    if not lo < value < hi:
+        name = key.rpartition(".")[2]
+        raise ConfigError(f"bad value for {source} key {key}: "
+                          f"need {lo:g} < {name} < {hi:g}, got {value!r}")
+
+
 def _check_values(cfg):
-    """The design and simulation values the library would reject without
-    naming the key: a positive finite length, wavelengths and their
+    """The material, design and simulation values the library would reject
+    without naming the key, or not at all: a positive finite d33, a duty
+    cycle in (0, 1), a positive finite length, wavelengths and their
     sum-frequency wavelength inside the dispersion set's validity range, an
     ordered coupling window and a finite signal/pump ratio."""
-    d = cfg["design"]
-    if not 0.0 < d["L_mm"] < math.inf:
-        raise ConfigError(f"bad value for config key design.L_mm: "
-                          f"need 0 < L_mm < inf, got {d['L_mm']!r}")
-    sellmeier = SELLMEIER_SETS.get(cfg["material"]["dispersion_set"])
+    mat, d = cfg["material"], cfg["design"]
+    _check_open("config", "material.d33_pm_per_V", mat["d33_pm_per_V"], 0.0, math.inf)
+    _check_open("config", "material.duty_cycle", mat["duty_cycle"], 0.0, 1.0)
+    _check_open("config", "design.L_mm", d["L_mm"], 0.0, math.inf)
+    sellmeier = SELLMEIER_SETS.get(mat["dispersion_set"])
     if sellmeier is not None:  # an unknown set is named when the model is built
         lo, hi = sellmeier.valid_um
         for key in ("lambda1_um", "lambda2_um"):
@@ -235,9 +244,12 @@ def _write_json(path, payload, cfg_hash):
     payload = dict(payload)
     payload["version"] = __version__
     payload["config_sha256"] = cfg_hash
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:  # a NaN or infinity is a numeric failure: exit 1
+        raise ArithmeticError(f"{os.path.basename(path)}: {err}") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _design_payload(design):
@@ -268,7 +280,7 @@ def _design_payload(design):
 # The fields a design file must carry, each with an example value of its type.
 DESIGN_FIELDS = {"version": "", "kappa_rad_per_m": 0.0, "L_mm": 0.0, "target": "",
                  "grid_N": 0, "lambda1_um": 0.0, "lambda2_um": 0.0,
-                 "kappa_at_search_boundary": False, "material": {},
+                 "q_value": 0.0, "kappa_at_search_boundary": False, "material": {},
                  "material.dispersion_set": "", "material.temperature_C": 0.0,
                  "material.chi2_m_per_V": 0.0, "material.duty_cycle": 0.0,
                  "material.eps0_F_per_m": 0.0}
@@ -291,17 +303,17 @@ def _design_from_file(path):
     if data["version"] != __version__:
         raise ConfigError(f"design file key version is {data['version']!r}, "
                           f"but this is qasfg {__version__}")
-    q_value = data.get("q_value", float("nan"))
-    if not _type_ok(q_value, 0.0):
-        raise ConfigError(f"bad type for design file key q_value: {q_value!r}")
     mat = data["material"]
+    _check_open("design file", "q_value", data["q_value"], -math.inf, math.inf)
+    _check_open("design file", "material.chi2_m_per_V", mat["chi2_m_per_V"], 0.0, math.inf)
+    _check_open("design file", "material.duty_cycle", mat["duty_cycle"], 0.0, 1.0)
     model = DispersionModel.from_name(mat["dispersion_set"], mat["temperature_C"])
     nl = NonlinearConstants(chi2=mat["chi2_m_per_V"], duty_cycle=mat["duty_cycle"])
     return xp.assemble_design(
         kappa=data["kappa_rad_per_m"], length=data["L_mm"] * 1e-3,
         target=data["target"], model=model, nonlinear=nl,
         lam1=data["lambda1_um"] * 1e-6, lam2=data["lambda2_um"] * 1e-6,
-        grid_n=data["grid_N"], eps0=mat["eps0_F_per_m"], q_value=q_value,
+        grid_n=data["grid_N"], eps0=mat["eps0_F_per_m"], q_value=data["q_value"],
         at_boundary=data["kappa_at_search_boundary"])
 
 

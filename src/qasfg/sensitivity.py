@@ -11,8 +11,6 @@ AngleProfiles; the kappa* search applies it through the kernel _q, which
 builds only what q reads and gives the same numbers.
 """
 
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,17 +32,14 @@ TARGETS = ("deltak", "kappa")
 KL_SEARCH_MIN = 1.05 * np.pi
 KL_SEARCH_MAX = 10.0
 
-# Grid samples in the row blocks of the batched kappa*L scan that are solved
-# at once, summed over all scan workers: about 0.5 MB per (rows, SCAN_GRID_N)
-# float array in total whatever the worker count is, so about 3 MB for the
-# workers' buffer sets (five such arrays and two half-width ones each).
+# Grid samples in each row block of the kappa*L scan: about 0.5 MB per
+# (rows, SCAN_GRID_N) float array, so about 3 MB for the block buffer set.
 SCAN_SAMPLES = 1 << 16
 
 # Grid nodes of every kappa*L scan row, whatever the design grid: the rows
 # only rank the couplings to pick the golden section's bracket, and the
-# ranking is confirmed on the design grid. 1001 is the smallest grid
-# _check_grid_n allows.
-SCAN_GRID_N = 1001
+# ranking is confirmed on the design grid.
+SCAN_GRID_N = 251
 
 
 @dataclass(frozen=True)
@@ -186,22 +181,11 @@ def _q_eval(kappa, grid, target):
     return q if inside else np.inf
 
 
-def _scan_workers(blocks):
-    """Threads for a scan of this many serial row blocks: the CPUs of the
-    process's affinity mask (taskset sets it), at most one per block."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, blocks)
-
-
 def _solve_blocks(xs, qs, starts, rows, work, target):
     """Fill qs[i:i + rows] for each block start i with the unit-length q of
     xs[i:i + rows], +inf where theta leaves (0, pi). work is the pair
     (grid factors, buffer set of rows rows): the buffer set serves every
-    block, a shorter last block its first rows. Calls only private
-    kernels, so helper threads never enter a traced public function."""
+    block, a shorter last block its first rows."""
     grid, buffers = work
     grid_n = grid.z.size
     for i in starts:
@@ -241,31 +225,9 @@ def _scan_rows(target, x_lo, x_hi, scan_points):
     brackets maps each grid_n already confirmed to its row index."""
     xs = np.linspace(x_lo, x_hi, scan_points)
     qs = np.empty(scan_points)
-    grid = _grid_factors(1.0, SCAN_GRID_N)
-    workers = _scan_workers(-(-scan_points // max(1, SCAN_SAMPLES // SCAN_GRID_N)))
-    rows = max(1, SCAN_SAMPLES // (workers * SCAN_GRID_N))
-    starts = range(0, scan_points, rows)
-    # every worker's buffer set is allocated here, on the calling thread
-    work = [(grid, _q_buffers((rows,), SCAN_GRID_N)) for _ in range(workers)]
-    errors = []
-
-    def helper(w):
-        try:
-            _solve_blocks(xs, qs, starts[w::workers], rows, work[w], target)
-        except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=helper, args=(w,))
-               for w in range(1, workers)]
-    for t in threads:
-        t.start()
-    try:
-        _solve_blocks(xs, qs, starts[0::workers], rows, work[0], target)
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
+    rows = max(1, SCAN_SAMPLES // SCAN_GRID_N)
+    work = (_grid_factors(1.0, SCAN_GRID_N), _q_buffers((rows,), SCAN_GRID_N))
+    _solve_blocks(xs, qs, range(0, scan_points, rows), rows, work, target)
     xs.flags.writeable = qs.flags.writeable = False
     return xs, qs, {}
 
@@ -281,10 +243,10 @@ def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
     row is the kernel _q at x on SCAN_GRID_N nodes, bit for bit what _q
     gives for x alone: theta from the closed-form trajectory, then only
     sin(theta), the selector phase and the target integral, never beta,
-    alpha or m. The rows differ from rows on a finer grid by about 1e-5
-    relative at most, less than the gaps between the minimum and its
-    neighbours, so they rank the couplings as the design grid does;
-    _downhill confirms the argmin on grid_n.
+    alpha or m. Up to kappa*L 18 the rows differ from rows on a finer grid
+    by about 1e-3 relative at most (more where theta grazes pi) and rank
+    the couplings as the design grid does; _downhill confirms the argmin
+    on grid_n.
 
     The rows do not depend on grid_n, so they are memoised on (target,
     x_lo, x_hi, scan_points) alone, and the confirmed index of each grid_n
@@ -292,18 +254,10 @@ def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
     on a new grid only confirms its bracket. cache_info and cache_clear are
     those of that one cache.
 
-    The rows are solved in blocks of SCAN_SAMPLES // (workers * SCAN_GRID_N)
-    rows, on the calling thread and one helper thread per further CPU of
-    the affinity mask, at most one worker per SCAN_SAMPLES block. numpy
-    releases the GIL in these passes. Worker w solves the block starts
-    starts[w::workers] into its own slices of qs with its own buffer set
-    (_q_buffers), reused for all its blocks, so SCAN_SAMPLES bounds the
-    work arrays of all workers together and every row is the same whatever
-    the worker count. The grid factors and every worker's buffer set are
-    built once per scan, on the calling thread before any helper starts
-    (this kept peak RSS lower than allocating on each helper's thread).
-    With one worker no thread is started. A worker's exception is raised
-    here after every helper has finished, so no partial scan is cached. The
+    The rows are solved on the calling thread in blocks of
+    SCAN_SAMPLES // SCAN_GRID_N rows, all written through one buffer set
+    (_q_buffers) built once per scan with the grid factors, so every row is
+    the same whatever the block. An exception leaves nothing cached. The
     arrays are shared between callers and therefore read-only.
     """
     xs, qs, brackets = _scan_rows(target, x_lo, x_hi, scan_points)

@@ -281,8 +281,9 @@ def boundary_check(angles, mismatch, rel_tol=1e-9):
     """Verify the design boundary conditions on the sampled arrays.
 
     Returns a dict with one entry per condition: {"ok": bool, "value": float,
-    "expected": float}, plus "all_ok" and a "near_degenerate" flag raised when
-    kappa*L is so close to pi that the endpoint mismatch nearly vanishes.
+    "expected": float, or None where no value is expected}, plus "all_ok"
+    and a "near_degenerate" flag raised when kappa*L is so close to pi that
+    the endpoint mismatch nearly vanishes.
     """
     k, L = angles.kappa, angles.length
     scale_ddot = max(abs(angles.theta_ddot).max(), 1.0)
@@ -304,7 +305,7 @@ def boundary_check(angles, mismatch, rel_tol=1e-9):
                              1e-6 * max(2 * angles.edge_rate, 1.0)),
         "delta_k_finite": {"ok": bool(np.all(np.isfinite(mismatch.delta_k))),
                            "value": float(np.max(np.abs(mismatch.delta_k))),
-                           "expected": float("nan")},
+                           "expected": None},
     }
     report["all_ok"] = all(v["ok"] for v in report.values())
     report["near_degenerate"] = bool(k * L - np.pi < 1e-3)

@@ -7,7 +7,7 @@ import pytest
 
 from qasfg import __version__
 from qasfg import experiments as xp
-from qasfg.cli import _design_kwargs, load_config, main
+from qasfg.cli import SWEEP_NAMES, _design_kwargs, _write_json, load_config, main
 
 FAST_CONFIG = {
     "design": {"L_mm": 1.0, "target": "deltak", "grid_N": 1001},
@@ -324,6 +324,11 @@ def test_bad_sweep_block_names_key(tmp_path, capsys, sweep, block, named):
      "design.kappa_max_per_cm"),
     ({"simulation": {"depleted": True, "signal_pump_ratio": float("nan")}},
      "simulation.signal_pump_ratio"),
+    ({"material": {"d33_pm_per_V": 0.0}}, "material.d33_pm_per_V"),
+    ({"material": {"d33_pm_per_V": -5.0}}, "material.d33_pm_per_V"),
+    ({"material": {"d33_pm_per_V": float("inf")}}, "material.d33_pm_per_V"),
+    ({"material": {"duty_cycle": 0.0}}, "material.duty_cycle"),
+    ({"material": {"duty_cycle": 1.5}}, "material.duty_cycle"),
 ])
 def test_bad_design_value_names_key(tmp_path, capsys, block, named):
     # checked when the config loads, before the library sees the value
@@ -337,7 +342,7 @@ def test_bad_design_value_names_key(tmp_path, capsys, block, named):
 VALID_DESIGN = {
     "version": __version__, "kappa_rad_per_m": 7510.0, "L_mm": 1.0,
     "target": "deltak", "grid_N": 1001, "lambda1_um": 3.0, "lambda2_um": 1.064,
-    "kappa_at_search_boundary": False,
+    "q_value": 2.4e-9, "kappa_at_search_boundary": False,
     "material": {"dispersion_set": "gayer2008_mgo_cln_e", "temperature_C": 25.0,
                  "chi2_m_per_V": 2.5e-11, "duty_cycle": 0.5,
                  "eps0_F_per_m": 8.85e-12},
@@ -364,6 +369,12 @@ MISSING = object()  # an edit value that drops the key
     ({"version": MISSING}, "lacks the key version"),
     ({"kappa_at_search_boundary": MISSING}, "lacks the key kappa_at_search_boundary"),
     ({"kappa_at_search_boundary": 0}, "kappa_at_search_boundary"),
+    ({"q_value": MISSING}, "lacks the key q_value"),
+    ({"q_value": float("nan")}, "bad value for design file key q_value"),
+    ({"material": dict(VALID_DESIGN["material"], chi2_m_per_V=0.0)},
+     "bad value for design file key material.chi2_m_per_V"),
+    ({"material": dict(VALID_DESIGN["material"], duty_cycle=1.0)},
+     "bad value for design file key material.duty_cycle"),
 ])
 def test_design_file_fields_typed(tmp_path, capsys, edit, named):
     cfg = write_config(tmp_path)
@@ -378,3 +389,42 @@ def test_design_file_fields_typed(tmp_path, capsys, edit, named):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--design", str(bad)]) == 2
     assert named in capsys.readouterr().err
+
+
+def _strict_json(text):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_artifacts_are_strict(tmp_path):
+    # every JSON file of the default config's runs is standard JSON; the
+    # depleted runs use the fast config
+    out = tmp_path / "out"
+    for argv in (["design"], ["simulate"],
+                 *(["sweep", name] for name in SWEEP_NAMES if name != "signal")):
+        assert main(argv + ["--out", str(out)]) == 0
+    depleted = write_config(tmp_path, {"simulation": {"depleted": True}})
+    for argv in (["simulate"], ["sweep", "signal"]):
+        assert main(argv + ["--config", depleted, "--out", str(out / "d")]) == 0
+    paths = sorted(out.rglob("*.json"))
+    assert [str(p.relative_to(out)) for p in paths] == [
+        "bandwidth_summary.json", "boundary_check.json", "d/signal_summary.json",
+        "d/simulate_summary.json", "design.json", "kappa_trace_summary.json",
+        "length_summary.json", "period_summary.json", "pump_summary.json",
+        "simulate_summary.json"]
+    for path in paths:
+        _strict_json(path.read_text())
+    entry = _strict_json((out / "boundary_check.json").read_text())["delta_k_finite"]
+    assert entry["ok"] and entry["expected"] is None
+
+
+def test_non_finite_json_value_is_an_internal_error(tmp_path):
+    # a NaN or infinity in a payload is a numeric failure (exit 1), and no
+    # file is written
+    path = tmp_path / "summary.json"
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ArithmeticError, match="summary.json"):
+            _write_json(str(path), {"eta": value}, "0" * 64)
+        assert not path.exists()

@@ -1,7 +1,5 @@
 import csv
 import json
-import os
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -147,22 +145,35 @@ def test_optimizer_rejects_bad_length_and_grid():
 @pytest.mark.parametrize("target", ["deltak", "kappa"])
 @pytest.mark.parametrize("window,rtol", [(None, 1e-13), ((15000.0, 25000.0), 1e-10)])
 def test_scan_matches_scalar_q(target, window, rtol):
-    # The batched kappa*L scan against one angle_profiles call per coupling.
-    # The explicit window runs past kappa*L ~ 18.7, where theta leaves (0, pi)
-    # and q at the dips is small enough to lose digits to cancellation.
+    # The trace is the single-row kernel _q on SCAN_GRID_N nodes, bit for bit,
+    # and _q is q of one angle_profiles call per coupling on a 1001 or 4001
+    # node grid. The explicit window runs past kappa*L ~ 18.7, where theta
+    # leaves (0, pi) and q at the dips is small enough to lose digits to
+    # cancellation.
     r = optimize_kappa(L, target=target, search_range=window, grid_n=1001)
+    x_lo, x_hi = (KL_SEARCH_MIN, KL_SEARCH_MAX) if window is None else \
+        (window[0] * L, window[1] * L)
+    xs = np.linspace(x_lo, x_hi, 400)
+    assert np.array_equal(r.trace_kappa, xs / L)
+    scale = L ** 2 if target == "deltak" else 1.0
+    rows = [_q(x, 1.0, SCAN_GRID_N, target) for x in xs]
+    assert np.array_equal(r.trace_q, [q * scale if inside else np.inf
+                                      for q, inside in rows])
     qfun = q_deltak if target == "deltak" else q_kappa
-    ref = []
-    for kappa in r.trace_kappa:
-        try:
-            ref.append(qfun(angle_profiles(TrajectorySpec(kappa, L, 1001))))
-        except TrajectoryError:
-            ref.append(np.inf)
-    ref = np.array(ref)
-    valid = np.isfinite(ref)
-    assert np.array_equal(np.isfinite(r.trace_q), valid)
-    assert valid.any() and (window is None or not valid.all())
-    np.testing.assert_allclose(r.trace_q[valid], ref[valid], rtol=rtol)
+    for grid_n in (1001, 4001):
+        got, ref = [], []
+        for kappa in r.trace_kappa:
+            q, inside = _q(kappa, L, grid_n, target)
+            got.append(q if inside else np.inf)
+            try:
+                ref.append(qfun(angle_profiles(TrajectorySpec(kappa, L, grid_n))))
+            except TrajectoryError:
+                ref.append(np.inf)
+        got, ref = np.array(got), np.array(ref)
+        valid = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(got), valid)
+        assert valid.any() and (window is None or not valid.all())
+        np.testing.assert_allclose(got[valid], ref[valid], rtol=rtol)
 
 
 def test_eta_from_period_error():
@@ -268,15 +279,17 @@ def test_trace_export(tmp_path):
     assert columns[0] == columns[1]
 
 
-@pytest.mark.parametrize("failing", ["caller", "helper"])
-def test_scan_worker_error_reaches_caller_uncached(monkeypatch, failing):
-    # two scan workers: the calling thread and one helper thread
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_scan_block_error_reaches_caller_uncached(monkeypatch):
+    # an error in the second row block, after the first has filled its rows,
+    # reaches optimize_kappa and leaves no partial scan in the cache
+    _unit_scan.cache_clear()
+    clean = optimize_kappa(L, grid_n=1001)
     real_q = sensitivity._q
+    calls = []
 
     def broken_q(k, length, grid_n, target, *args):
-        on_caller = threading.current_thread() is threading.main_thread()
-        if on_caller == (failing == "caller"):
+        calls.append(np.shape(k))
+        if len(calls) == 2:
             raise RuntimeError("broken block")
         return real_q(k, length, grid_n, target, *args)
 
@@ -284,14 +297,13 @@ def test_scan_worker_error_reaches_caller_uncached(monkeypatch, failing):
     monkeypatch.setattr(sensitivity, "_q", broken_q)
     with pytest.raises(RuntimeError, match="broken block"):
         optimize_kappa(L, grid_n=1001)
+    assert [len(shape) for shape in calls] == [2, 2]  # two row blocks
     assert _unit_scan.cache_info().currsize == 0
     monkeypatch.setattr(sensitivity, "_q", real_q)
-    threaded = optimize_kappa(L, grid_n=1001)
+    again = optimize_kappa(L, grid_n=1001)
     _unit_scan.cache_clear()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    serial = optimize_kappa(L, grid_n=1001)
-    assert (threaded.kappa_opt, threaded.q_opt) == (serial.kappa_opt, serial.q_opt)
-    assert np.array_equal(threaded.trace_q, serial.trace_q)
+    assert (again.kappa_opt, again.q_opt) == (clean.kappa_opt, clean.q_opt)
+    assert np.array_equal(again.trace_q, clean.trace_q)
 
 
 def _reference_q(k, length, grid_n, target):
