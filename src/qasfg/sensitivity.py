@@ -32,9 +32,11 @@ TARGETS = ("deltak", "kappa")
 KL_SEARCH_MIN = 1.05 * np.pi
 KL_SEARCH_MAX = 10.0
 
-# Grid samples in each row block of the kappa*L scan: about 0.5 MB per
-# (rows, SCAN_GRID_N) float array, so about 3 MB for the block buffer set.
-SCAN_SAMPLES = 1 << 16
+# Grid samples in each row block of the kappa*L scan: each temporary of a
+# block is about 64 KiB, below glibc's default 128 KiB mmap threshold, so
+# the block temporaries come from the heap, not from fresh mappings that
+# each block would fault in again.
+SCAN_SAMPLES = 1 << 13
 
 # Grid nodes of every kappa*L scan row, whatever the design grid: the rows
 # only rank the couplings to pick the golden section's bracket, and the
@@ -53,25 +55,16 @@ class OptimizeResult:
     trace_q: np.ndarray
 
 
-def _q_integral(target, m_select, sin_theta, theta_dot, z, g=None, y=None,
-                half=None):
+def _q_integral(target, m_select, sin_theta, theta_dot, z):
     """(1/4)|int e^{i m_select} g dz|^2 over the last axis, with g = sin(theta)
     for the deltak target and 2 theta' sin^2(theta) for kappa, as
-    (1/4)(Re^2 + Im^2) of the cos and sin integrals. The kappa target's g,
-    the integrand y and the Simpson panels (see _simpson) go to g, y and
-    half, or to new arrays. The inputs are not modified."""
+    (1/4)(Re^2 + Im^2) of the cos and sin integrals."""
     if target == "deltak":
         g = sin_theta
     else:
-        g = np.multiply(sin_theta, sin_theta, out=g)
-        g *= theta_dot
-        g *= 2.0
-    y = np.cos(m_select, out=y)
-    y *= g
-    re = _simpson(y, z, half)
-    np.sin(m_select, out=y)
-    y *= g
-    im = _simpson(y, z, half)
+        g = sin_theta * sin_theta * theta_dot * 2.0
+    re = _simpson(np.cos(m_select) * g, z)
+    im = _simpson(np.sin(m_select) * g, z)
     return 0.25 * (re * re + im * im)
 
 
@@ -87,42 +80,21 @@ def q_kappa(angles):
                        angles.theta_dot, angles.z)
 
 
-def _q_buffers(rows, grid_n):
-    """One set of work arrays for _q on grid_n nodes: five of shape
-    rows + (grid_n,) and two Simpson panel arrays of rows + ((grid_n - 1) // 2,),
-    where rows is () for a float coupling and (R,) for an (R, 1) column."""
-    full = tuple(np.empty(rows + (grid_n,)) for _ in range(5))
-    return full + tuple(np.empty(rows + ((grid_n - 1) // 2,)) for _ in range(2))
-
-
-def _q(k, length, grid_n, target, grid=None, buffers=None):
+def _q(k, length, grid_n, target, grid=None):
     """q of the target for the coupling k, a float or an (R, 1) column of
     couplings (one row each), and whether theta stays inside (0, pi) on the
     interior. The same numbers as q_deltak / q_kappa of angle_profiles, from
     only what q reads: theta, theta', theta'', sin(theta) once, cos(beta),
     m_select and the target integrand. q of a row whose theta leaves (0, pi)
-    is meaningless.
-
-    grid is _grid_factors(length, grid_n) and buffers a set from _q_buffers
-    (or one with each array cut to the first R rows), both built here when
-    None. Every temporary is written to the buffers, reused where their
-    live ranges allow: theta becomes sin(theta), theta'' the integrand y
-    and the cos(beta) array the selector rate, then the kappa target's g.
-    So a caller that passes one set to many calls allocates nothing per
-    call, and every call runs the same ufuncs in the same order."""
+    is meaningless. grid is _grid_factors(length, grid_n), built here when
+    None."""
     if grid is None:
         grid = _grid_factors(length, grid_n)
-    if buffers is None:
-        buffers = _q_buffers(np.shape(k)[:-1], grid_n)
-    theta, theta_dot, theta_ddot, rate, m_select, half_a, half_b = buffers
-    z, theta, theta_dot, theta_ddot = _theta(k, grid, (theta, theta_dot, theta_ddot))
-    sin_theta = np.sin(theta, out=theta)
+    z, theta, theta_dot, theta_ddot = _theta(k, grid)
+    sin_theta = np.sin(theta)
     inside = np.min(sin_theta[..., 1:-1], axis=-1) > 0.0
-    m_select = _select_phase(k, z, theta_dot, theta_ddot, sin_theta, rate, m_select,
-                             (half_a, half_b))
-    q = _q_integral(target, m_select, sin_theta, theta_dot, z, g=rate, y=theta_ddot,
-                    half=half_a)
-    return q, inside
+    m_select = _select_phase(k, z, theta_dot, theta_ddot, sin_theta)
+    return _q_integral(target, m_select, sin_theta, theta_dot, z), inside
 
 
 def perturbation_coefficients(angles):
@@ -181,19 +153,6 @@ def _q_eval(kappa, grid, target):
     return q if inside else np.inf
 
 
-def _solve_blocks(xs, qs, starts, rows, work, target):
-    """Fill qs[i:i + rows] for each block start i with the unit-length q of
-    xs[i:i + rows], +inf where theta leaves (0, pi). work is the pair
-    (grid factors, buffer set of rows rows): the buffer set serves every
-    block, a shorter last block its first rows."""
-    grid, buffers = work
-    grid_n = grid.z.size
-    for i in starts:
-        k = xs[i:i + rows, None]
-        q, inside = _q(k, 1.0, grid_n, target, grid, [b[:len(k)] for b in buffers])
-        qs[i:i + rows] = np.where(inside, q, np.inf)
-
-
 def _downhill(xs, qs, grid_n, target):
     """Index of the scan row that centres the golden section's bracket: the
     argmin of the SCAN_GRID_N rows qs, moved to its lowest neighbour while
@@ -225,9 +184,11 @@ def _scan_rows(target, x_lo, x_hi, scan_points):
     brackets maps each grid_n already confirmed to its row index."""
     xs = np.linspace(x_lo, x_hi, scan_points)
     qs = np.empty(scan_points)
+    grid = _grid_factors(1.0, SCAN_GRID_N)
     rows = max(1, SCAN_SAMPLES // SCAN_GRID_N)
-    work = (_grid_factors(1.0, SCAN_GRID_N), _q_buffers((rows,), SCAN_GRID_N))
-    _solve_blocks(xs, qs, range(0, scan_points, rows), rows, work, target)
+    for i in range(0, scan_points, rows):
+        q, inside = _q(xs[i:i + rows, None], 1.0, SCAN_GRID_N, target, grid)
+        qs[i:i + rows] = np.where(inside, q, np.inf)
     xs.flags.writeable = qs.flags.writeable = False
     return xs, qs, {}
 
@@ -255,10 +216,9 @@ def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
     those of that one cache.
 
     The rows are solved on the calling thread in blocks of
-    SCAN_SAMPLES // SCAN_GRID_N rows, all written through one buffer set
-    (_q_buffers) built once per scan with the grid factors, so every row is
-    the same whatever the block. An exception leaves nothing cached. The
-    arrays are shared between callers and therefore read-only.
+    SCAN_SAMPLES // SCAN_GRID_N rows on grid factors built once per scan;
+    every row is the same whatever the block. An exception leaves nothing
+    cached. The arrays are shared between callers and therefore read-only.
     """
     xs, qs, brackets = _scan_rows(target, x_lo, x_hi, scan_points)
     # two racing calls both confirm, and store the same index

@@ -34,38 +34,24 @@ def _check_grid_n(grid_n):
         raise TrajectoryError(f"grid size must be odd and >= 1001, got {grid_n}")
 
 
-def _simpson(y, z, half=None):
+def _simpson(y, z):
     """Composite Simpson integral of y over the last axis, sampled on the
-    uniform grid z with an odd number of samples. The panel sums go to
-    half, an array shaped like y[..., 1:-1:2], or to a new array."""
+    uniform grid z with an odd number of samples."""
     dx = (z[-1] - z[0]) / (z.size - 1)
-    panels = np.multiply(4.0, y[..., 1:-1:2], out=half)
-    panels += y[..., :-2:2]
-    panels += y[..., 2::2]
-    return np.sum(panels, axis=-1) * (dx / 3.0)
+    return np.sum(4.0 * y[..., 1:-1:2] + y[..., :-2:2] + y[..., 2::2],
+                  axis=-1) * (dx / 3.0)
 
 
-def _cumulative_simpson(y, z, out=None, half=(None, None)):
+def _cumulative_simpson(y, z):
     """Running integral of y over the last axis from z[0], on the uniform grid
     z with an odd number of samples: the composite rule at even samples, plus
-    the integral of the panel's parabola over its first cell at odd ones.
-    It is written to out and the panel terms to the two half arrays (shaped
-    as in _simpson), or to new arrays."""
+    the integral of the panel's parabola over its first cell at odd ones."""
     dx = (z[-1] - z[0]) / (z.size - 1)
     left, mid, right = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
-    if out is None:
-        out = np.empty_like(y)
+    out = np.empty_like(y)
     out[..., 0] = 0.0
-    panels = np.multiply(4.0, mid, out=half[0])
-    panels += left
-    panels += right
-    panels *= dx / 3.0
-    np.cumsum(panels, axis=-1, out=out[..., 2::2])
-    first = np.multiply(5.0, left, out=panels)
-    first += np.multiply(8.0, mid, out=half[1])
-    first -= right
-    first *= dx / 12.0
-    np.add(out[..., :-1:2], first, out=out[..., 1::2])
+    out[..., 2::2] = np.cumsum((4.0 * mid + left + right) * (dx / 3.0), axis=-1)
+    out[..., 1::2] = out[..., :-1:2] + (5.0 * left + 8.0 * mid - right) * (dx / 12.0)
     return out
 
 
@@ -150,28 +136,19 @@ def _grid_factors(L, grid_n):
                         s ** 2, (1 - s) ** 2, 1 - s, 1 - 2 * s)
 
 
-def _theta(k, grid, out=(None, None, None)):
+def _theta(k, grid):
     """Closed-form polynomial trajectory on the grid factors grid:
     (z, theta, theta', theta'').
 
     theta(z) = kappa z - (kappa L - pi)(10 s^3 - 15 s^4 + 6 s^5), s = z/L,
     with derivatives evaluated analytically. k is a float, or an (R, 1)
-    column of couplings with one trajectory per row. theta, theta' and
-    theta'' are written to the three arrays of out, or to new arrays.
+    column of couplings with one trajectory per row.
     """
     L = grid.length
-    theta, theta_dot, theta_ddot = out
     d = k * L - np.pi
-    # theta'' holds d * poly until theta is formed
-    d_poly = np.multiply(d, grid.poly, out=theta_ddot)
-    theta = np.multiply(k, grid.z, out=theta)
-    theta -= d_poly
-    theta_dot = np.multiply(30.0 * d / L, grid.s2, out=theta_dot)
-    theta_dot *= grid.one_minus_s2
-    np.subtract(k, theta_dot, out=theta_dot)
-    theta_ddot = np.multiply(-(60.0 * d / L ** 2), grid.s, out=d_poly)
-    theta_ddot *= grid.one_minus_s
-    theta_ddot *= grid.one_minus_2s
+    theta = k * grid.z - d * grid.poly
+    theta_dot = k - 30.0 * d / L * grid.s2 * grid.one_minus_s2
+    theta_ddot = -(60.0 * d / L ** 2) * grid.s * grid.one_minus_s * grid.one_minus_2s
     return grid.z, theta, theta_dot, theta_ddot
 
 
@@ -186,37 +163,26 @@ def beta_profile(kappa, theta_dot):
     return np.arcsin(np.clip(sin_beta, -1.0, 1.0))
 
 
-def _cos_beta(k, theta_dot, out=None):
-    """cos(beta) = sqrt(1 - (theta'/kappa)^2) >= 0, clipped at 0, written to
-    out or to a new array."""
-    c = np.divide(theta_dot, k, out=out)
-    np.multiply(c, c, out=c)
-    np.subtract(1.0, c, out=c)
-    np.maximum(c, 0.0, out=c)
-    return np.sqrt(c, out=c)
+def _cos_beta(k, theta_dot):
+    """cos(beta) = sqrt(1 - (theta'/kappa)^2) >= 0, clipped at 0."""
+    c = theta_dot / k
+    return np.sqrt(np.maximum(1.0 - c * c, 0.0))
 
 
-def _select_phase(k, z, theta_dot, theta_ddot, sin_theta, rate=None, out=None,
-                  half=(None, None)):
+def _select_phase(k, z, theta_dot, theta_ddot, sin_theta):
     """Selector phase m_select: the running integral of the single-fraction
     rate (beta' + theta' cot beta)/sin(theta). With beta' = -theta''/(kappa
     cos beta) and theta' cot beta = -kappa cos beta the rate is
     -(theta''/(kappa cos beta) + kappa cos beta)/sin(theta). Its 1/z endpoint
     divergence is clipped to the neighbouring interior value (the q
     integrands vanish there, and the accumulated phase is grid-stable; see
-    tests). k is a float or an (R, 1) column, one trajectory per row. The
-    rate is formed in rate and the phase in out, with half as the Simpson
-    panel arrays of _cumulative_simpson; each that is None is a new array.
-    The inputs are not modified."""
-    rate = _cos_beta(k, theta_dot, rate)
-    rate *= -k
-    if out is None:
-        out = np.empty_like(rate)
+    tests). k is a float or an (R, 1) column, one trajectory per row."""
+    rate = _cos_beta(k, theta_dot) * -k
     inner = rate[..., 1:-1]
-    inner += np.divide(theta_ddot[..., 1:-1], inner, out=out[..., 1:-1])
+    inner += theta_ddot[..., 1:-1] / inner
     inner /= sin_theta[..., 1:-1]
     rate[..., 0], rate[..., -1] = rate[..., 1], rate[..., -2]
-    return _cumulative_simpson(rate, z, out, half)
+    return _cumulative_simpson(rate, z)
 
 
 def angle_profiles(spec):

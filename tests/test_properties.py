@@ -165,14 +165,15 @@ def test_scan_walks_a_near_tie_to_the_design_grid_minimum(monkeypatch, target):
     xs, qs, best = _unit_scan(target, grid_n, KL_SEARCH_MIN, KL_SEARCH_MAX, 400)
     assert 0 < best < len(xs) - 1
     off = best + 1
-    solve = sensitivity._solve_blocks
+    real_q = sensitivity._q
 
-    def nudged(x, out, starts, rows, n, tgt):
-        solve(x, out, starts, rows, n, tgt)
-        if any(i <= off < i + rows for i in starts):
-            out[off] = qs[best] * (1.0 - 1e-9)
+    def nudged(k, length, n, tgt, *args):
+        q, inside = real_q(k, length, n, tgt, *args)
+        if np.ndim(k) == 2:  # a scan block, not a single row on grid_n
+            q = np.where(k[:, 0] == xs[off], qs[best] * (1.0 - 1e-9), q)
+        return q, inside
 
-    monkeypatch.setattr(sensitivity, "_solve_blocks", nudged)
+    monkeypatch.setattr(sensitivity, "_q", nudged)
     _unit_scan.cache_clear()
     _, nudged_qs, walked = _unit_scan(target, grid_n, KL_SEARCH_MIN, KL_SEARCH_MAX, 400)
     r = optimize_kappa(REF_LENGTH, target=target, grid_n=grid_n)

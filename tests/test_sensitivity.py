@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from qasfg import sensitivity
 from qasfg.cli import main
 from qasfg.propagation import simulate_undepleted
 from qasfg.sensitivity import (
-    KL_SEARCH_MAX, KL_SEARCH_MIN, SCAN_GRID_N, TARGETS, _q, _q_buffers, _unit_scan,
+    KL_SEARCH_MAX, KL_SEARCH_MIN, SCAN_GRID_N, TARGETS, _q, _unit_scan,
     eta_from_period_error, first_order_efficiency, optimize_kappa,
     perturbation_coefficients, q_deltak, q_kappa,
 )
@@ -280,8 +281,9 @@ def test_trace_export(tmp_path):
 
 
 def test_scan_block_error_reaches_caller_uncached(monkeypatch):
-    # an error in the second row block, after the first has filled its rows,
-    # reaches optimize_kappa and leaves no partial scan in the cache
+    # an error in the second of the scan's 13 row blocks, after the first has
+    # filled its rows, reaches optimize_kappa and leaves no partial scan in
+    # the cache
     _unit_scan.cache_clear()
     clean = optimize_kappa(L, grid_n=1001)
     real_q = sensitivity._q
@@ -297,7 +299,7 @@ def test_scan_block_error_reaches_caller_uncached(monkeypatch):
     monkeypatch.setattr(sensitivity, "_q", broken_q)
     with pytest.raises(RuntimeError, match="broken block"):
         optimize_kappa(L, grid_n=1001)
-    assert [len(shape) for shape in calls] == [2, 2]  # two row blocks
+    assert [len(shape) for shape in calls] == [2, 2]  # the first two of 13 row blocks
     assert _unit_scan.cache_info().currsize == 0
     monkeypatch.setattr(sensitivity, "_q", real_q)
     again = optimize_kappa(L, grid_n=1001)
@@ -306,9 +308,25 @@ def test_scan_block_error_reaches_caller_uncached(monkeypatch):
     assert np.array_equal(again.trace_q, clean.trace_q)
 
 
+@pytest.mark.parametrize("target", TARGETS)
+def test_cold_search_traced_peak_under_one_mib(target):
+    # the scan's row blocks allocate per op, each temporary about 64 KiB
+    _unit_scan.cache_clear()
+    optimize_kappa(L, target=target, grid_n=4001)  # imports and first-call set-up
+    _unit_scan.cache_clear()
+    tracemalloc.start()
+    try:
+        optimize_kappa(L, target=target, grid_n=4001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _unit_scan.cache_clear()
+    assert peak < 1 << 20
+
+
 def _reference_q(k, length, grid_n, target):
-    """The q kernel with a new array for every operation, as it stood before
-    the grid factors and buffer sets: the bit-for-bit reference of _q."""
+    """The q kernel with every grid array rebuilt per call and every
+    expression written inline: the bit-for-bit reference of _q."""
     z = np.linspace(0.0, length, grid_n)
     s = z / length
     d = k * length - np.pi
@@ -354,31 +372,19 @@ SCAN_WINDOWS = {"default": (KL_SEARCH_MIN, KL_SEARCH_MAX), "grazing": (15.0, 25.
 @pytest.mark.parametrize("grid_n", [1001, 3001, 4001, 5001])
 @pytest.mark.parametrize("target", TARGETS)
 def test_scan_blocks_on_one_buffer_set_match_reference_kernel(target, grid_n, window):
+    # every block allocates its own temporaries, so blocks share no state
     xs = np.linspace(*SCAN_WINDOWS[window], 75)[:, None]
     ref = _reference_q(xs, 1.0, grid_n, target)
     assert window == "default" or not ref[1].all()
     grid = sensitivity._grid_factors(1.0, grid_n)
     # 75 rows in blocks of 65, 32 and 7 end in a partial block
     for rows in (1, 7, 32, 65):
-        buffers = _q_buffers((rows,), grid_n)
         q, inside = np.empty(75), np.empty(75, dtype=bool)
         for i in range(0, 75, rows):
-            k = xs[i:i + rows]
-            q[i:i + rows], inside[i:i + rows] = _q(
-                k, 1.0, grid_n, target, grid, [b[:len(k)] for b in buffers])
+            q[i:i + rows], inside[i:i + rows] = _q(xs[i:i + rows], 1.0, grid_n,
+                                                   target, grid)
         assert _same((q, inside), ref)
     assert _same(_q(xs, 1.0, grid_n, target), ref)
-
-
-@pytest.mark.parametrize("target", TARGETS)
-def test_scan_buffer_set_reused_in_reverse_block_order(target):
-    xs = np.linspace(KL_SEARCH_MIN, 25.0, 50)[:, None]
-    grid = sensitivity._grid_factors(1.0, SCAN_GRID_N)
-    buffers = _q_buffers((8,), SCAN_GRID_N)
-    for i in reversed(range(0, 50, 8)):
-        k = xs[i:i + 8]
-        got = _q(k, 1.0, SCAN_GRID_N, target, grid, [b[:len(k)] for b in buffers])
-        assert _same(got, _reference_q(k, 1.0, SCAN_GRID_N, target))
 
 
 @pytest.mark.parametrize("grid_n", [1001, 4001])
