@@ -61,13 +61,38 @@ DEFAULT_CONFIG = {
 }
 
 SWEEP_NAMES = ("bandwidth", "period", "pump", "length", "signal", "kappa-trace")
-# Each sweep block's range keys and the values its ends must stay inside: a
-# period error of -100 % or +100 % or beyond has no first-order estimate.
-SWEEP_RANGES = {"bandwidth": ("lambda_min_um", "lambda_max_um", 0.0, math.inf),
-                "period": ("min_pct", "max_pct", -100.0, 100.0),
-                "pump": ("min_pct", "max_pct", -100.0, math.inf),
-                "length": ("min_mm", "max_mm", 0.0, math.inf),
-                "signal": ("ratio_min", "ratio_max", 0.0, math.inf)}
+
+POSITIVE = (0.0, math.inf)
+FINITE = (-math.inf, math.inf)
+# The limits of each checked config key, nested as DEFAULT_CONFIG: a tuple of
+# choices where the default is a string, open bounds (lo, hi) otherwise. Every
+# key with "min" in its name has a "max" twin in its block, and the two form a
+# range: both set or neither, and min < max. A period error of -100 % or
+# +100 % or beyond has no first-order estimate. temperature_C need only be
+# finite: no temperature range is recorded for the dispersion sets.
+LIMITS = {
+    "material": {
+        "dispersion_set": tuple(SELLMEIER_SETS),
+        "temperature_C": FINITE,
+        "d33_pm_per_V": POSITIVE,
+        "chi2_convention": ("d33", "2d33"),
+        "duty_cycle": (0.0, 1.0),
+        "epsilon0_convention": tuple(EPS0_CHOICES),
+    },
+    "design": {"L_mm": POSITIVE, "target": TARGETS,
+               "kappa_min_per_cm": POSITIVE, "kappa_max_per_cm": POSITIVE},
+    "simulation": {"steps": POSITIVE, "signal_pump_ratio": FINITE},
+    "sweeps": {
+        "bandwidth": {"lambda_min_um": POSITIVE, "lambda_max_um": POSITIVE,
+                      "samples": POSITIVE},
+        "period": {"min_pct": (-100.0, 100.0), "max_pct": (-100.0, 100.0),
+                   "samples": POSITIVE},
+        "pump": {"min_pct": (-100.0, math.inf), "max_pct": (-100.0, math.inf),
+                 "samples": POSITIVE},
+        "length": {"min_mm": POSITIVE, "max_mm": POSITIVE, "samples": POSITIVE},
+        "signal": {"ratio_min": POSITIVE, "ratio_max": POSITIVE, "samples": POSITIVE},
+    },
+}
 
 
 class ConfigError(ValueError):
@@ -88,8 +113,24 @@ def _type_ok(value, ref):
     return isinstance(value, type(ref))
 
 
-def _merge_validate(user, default, path=""):
-    """Merge user config onto defaults; reject unknown keys and bad types."""
+def _check_limits(source, key, value, limits):
+    """Raise ConfigError naming the source's key unless value is None, one of
+    the choices limits gives, or inside its open bounds (lo, hi)."""
+    if limits is None or value is None:
+        return
+    if isinstance(limits[0], str):
+        if value not in limits:
+            raise ConfigError(f"bad value for {source} key {key}: need one of "
+                              f"{', '.join(limits)}, got {value!r}")
+    elif not limits[0] < value < limits[1]:
+        name = key.rpartition(".")[2]
+        raise ConfigError(f"bad value for {source} key {key}: "
+                          f"need {limits[0]:g} < {name} < {limits[1]:g}, got {value!r}")
+
+
+def _merge_validate(user, default, limits, path=""):
+    """Merge user config onto defaults; reject unknown keys, bad types,
+    values outside their limits and unordered ranges."""
     if not isinstance(user, dict):
         raise ConfigError(f"config block {path or '<root>'} must be an object")
     merged = copy.deepcopy(default)
@@ -98,70 +139,43 @@ def _merge_validate(user, default, path=""):
         if key not in default:
             raise ConfigError(f"unknown config key: {here}")
         if isinstance(default[key], dict):
-            merged[key] = _merge_validate(value, default[key], here)
+            merged[key] = _merge_validate(value, default[key], limits.get(key, {}), here)
         else:
             if not _type_ok(value, default[key]):
                 raise ConfigError(f"bad type for config key {here}: {value!r}")
+            _check_limits("config", here, value, limits.get(key))
             merged[key] = value
+    for lo in [key for key in merged if "min" in key]:
+        hi = lo.replace("min", "max")
+        if (merged[lo] is None) != (merged[hi] is None):
+            raise ConfigError(f"set both config keys {path}.{lo} and {path}.{hi} or neither")
+        if merged[lo] is not None and not merged[lo] < merged[hi]:
+            raise ConfigError(f"bad range for config keys {path}.{lo} and {path}.{hi}: "
+                              f"need {lo} < {hi}, got {merged[lo]!r} and {merged[hi]!r}")
     return merged
 
 
-def _check_sweeps(sweeps):
-    """Every sweep block needs samples >= 1 and lower < min < max < upper."""
-    for name, (lo, hi, lower, upper) in SWEEP_RANGES.items():
-        block = sweeps[name]
-        if block["samples"] < 1:
-            raise ConfigError(f"bad value for config key sweeps.{name}.samples: "
-                              f"need at least 1, got {block['samples']}")
-        if not lower < block[lo] < block[hi] < upper:
+def _check_grid_and_band(source, prefix, block, set_name):
+    """The checks no single limit makes: block's grid_N odd and at least 1001,
+    and its wavelengths and their sum-frequency wavelength inside the validity
+    range of the dispersion set set_name. prefix is the path of block's keys."""
+    try:
+        _check_grid_n(block["grid_N"])
+    except TrajectoryError as err:
+        raise ConfigError(f"bad value for {source} key {prefix}grid_N: {err}") from None
+    sellmeier = SELLMEIER_SETS[set_name]
+    lo, hi = sellmeier.valid_um
+    for key in ("lambda1_um", "lambda2_um"):
+        if not lo <= block[key] <= hi:
             raise ConfigError(
-                f"bad range for config keys sweeps.{name}.{lo} and sweeps.{name}.{hi}: "
-                f"need {lower:g} < {lo} < {hi} < {upper:g}, "
-                f"got {block[lo]!r} and {block[hi]!r}")
-
-
-def _check_open(source, key, value, lo, hi):
-    """Raise ConfigError naming the source's key unless lo < value < hi."""
-    if not lo < value < hi:
-        name = key.rpartition(".")[2]
-        raise ConfigError(f"bad value for {source} key {key}: "
-                          f"need {lo:g} < {name} < {hi:g}, got {value!r}")
-
-
-def _check_values(cfg):
-    """The material, design and simulation values the library would reject
-    without naming the key, or not at all: a positive finite d33, a duty
-    cycle in (0, 1), a positive finite length, wavelengths and their
-    sum-frequency wavelength inside the dispersion set's validity range, an
-    ordered coupling window and a finite signal/pump ratio."""
-    mat, d = cfg["material"], cfg["design"]
-    _check_open("config", "material.d33_pm_per_V", mat["d33_pm_per_V"], 0.0, math.inf)
-    _check_open("config", "material.duty_cycle", mat["duty_cycle"], 0.0, 1.0)
-    _check_open("config", "design.L_mm", d["L_mm"], 0.0, math.inf)
-    sellmeier = SELLMEIER_SETS.get(mat["dispersion_set"])
-    if sellmeier is not None:  # an unknown set is named when the model is built
-        lo, hi = sellmeier.valid_um
-        for key in ("lambda1_um", "lambda2_um"):
-            if not lo <= d[key] <= hi:
-                raise ConfigError(
-                    f"bad value for config key design.{key}: need {lo} <= {key} <= "
-                    f"{hi} ({sellmeier.name} validity range), got {d[key]!r}")
-        lam3 = 1.0 / (1.0 / d["lambda1_um"] + 1.0 / d["lambda2_um"])
-        if not lo <= lam3 <= hi:
-            raise ConfigError(
-                f"bad values for config keys design.lambda1_um and design.lambda2_um: "
-                f"their sum-frequency wavelength {lam3:.4f} um lies outside the "
-                f"{sellmeier.name} validity range [{lo}, {hi}] um")
-    k_lo, k_hi = d["kappa_min_per_cm"], d["kappa_max_per_cm"]
-    if k_lo is not None and k_hi is not None and not 0.0 < k_lo < k_hi < math.inf:
+                f"bad value for {source} key {prefix}{key}: need {lo} <= {key} <= "
+                f"{hi} ({sellmeier.name} validity range), got {block[key]!r}")
+    lam3 = 1.0 / (1.0 / block["lambda1_um"] + 1.0 / block["lambda2_um"])
+    if not lo <= lam3 <= hi:
         raise ConfigError(
-            f"bad range for config keys design.kappa_min_per_cm and "
-            f"design.kappa_max_per_cm: need 0 < kappa_min_per_cm < kappa_max_per_cm, "
-            f"got {k_lo!r} and {k_hi!r}")
-    ratio = cfg["simulation"]["signal_pump_ratio"]
-    if not math.isfinite(ratio):
-        raise ConfigError(f"bad value for config key simulation.signal_pump_ratio: "
-                          f"need a finite number, got {ratio!r}")
+            f"bad values for {source} keys {prefix}lambda1_um and {prefix}lambda2_um: "
+            f"their sum-frequency wavelength {lam3:.4f} um lies outside the "
+            f"{sellmeier.name} validity range [{lo}, {hi}] um")
 
 
 def load_config(path):
@@ -174,9 +188,9 @@ def load_config(path):
                 user = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file {path} is not valid JSON: {err}")
-        merged = _merge_validate(user, DEFAULT_CONFIG)
-        _check_sweeps(merged["sweeps"])
-        _check_values(merged)
+        merged = _merge_validate(user, DEFAULT_CONFIG, LIMITS)
+        _check_grid_and_band("config", "design.", merged["design"],
+                             merged["material"]["dispersion_set"])
     canonical = json.dumps(merged, sort_keys=True, separators=(",", ":"))
     return merged, hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -184,49 +198,21 @@ def load_config(path):
 def _material_objects(mat):
     model = DispersionModel.from_name(mat["dispersion_set"], mat["temperature_C"])
     d33 = mat["d33_pm_per_V"] * 1e-12
-    if mat["chi2_convention"] == "d33":
-        chi2 = d33
-    elif mat["chi2_convention"] == "2d33":
-        chi2 = 2.0 * d33
-    else:
-        raise ConfigError(
-            f"chi2_convention must be 'd33' or '2d33', got {mat['chi2_convention']!r}")
-    if mat["epsilon0_convention"] not in EPS0_CHOICES:
-        raise ConfigError(
-            f"epsilon0_convention must be one of {sorted(EPS0_CHOICES)}")
+    chi2 = 2.0 * d33 if mat["chi2_convention"] == "2d33" else d33
     eps0 = EPS0_CHOICES[mat["epsilon0_convention"]]
     return model, NonlinearConstants(chi2=chi2, duty_cycle=mat["duty_cycle"]), eps0
-
-
-def _check_grid_key(grid_n, key):
-    try:
-        _check_grid_n(grid_n)
-    except TrajectoryError as err:
-        raise ConfigError(f"bad value for {key}: {err}") from None
 
 
 def _design_kwargs(cfg):
     model, nl, eps0 = _material_objects(cfg["material"])
     d = cfg["design"]
-    if d["target"] not in TARGETS:
-        raise ConfigError(f"design target must be 'deltak' or 'kappa', got {d['target']!r}")
-    _check_grid_key(d["grid_N"], "config key design.grid_N")
     search = None
-    if d["kappa_min_per_cm"] is not None or d["kappa_max_per_cm"] is not None:
-        if d["kappa_min_per_cm"] is None or d["kappa_max_per_cm"] is None:
-            raise ConfigError("set both kappa_min_per_cm and kappa_max_per_cm or neither")
+    if d["kappa_min_per_cm"] is not None:
         search = (d["kappa_min_per_cm"] * 100.0, d["kappa_max_per_cm"] * 100.0)
     return dict(length=d["L_mm"] * 1e-3, target=d["target"], model=model,
                 nonlinear=nl, lam1=d["lambda1_um"] * 1e-6,
                 lam2=d["lambda2_um"] * 1e-6, grid_n=d["grid_N"],
                 eps0=eps0), search
-
-
-def _check_steps_config(cfg):
-    steps = cfg["simulation"]["steps"]
-    if steps <= 0:
-        raise ConfigError(f"simulation.steps must be positive, got {steps}")
-    return steps
 
 
 def _write_csv(path, cfg_hash, names, *columns):
@@ -277,36 +263,37 @@ def _design_payload(design):
     }
 
 
-# The fields a design file must carry, each with an example value of its type.
-DESIGN_FIELDS = {"version": "", "kappa_rad_per_m": 0.0, "L_mm": 0.0, "target": "",
-                 "grid_N": 0, "lambda1_um": 0.0, "lambda2_um": 0.0,
-                 "q_value": 0.0, "kappa_at_search_boundary": False, "material": {},
-                 "material.dispersion_set": "", "material.temperature_C": 0.0,
-                 "material.chi2_m_per_V": 0.0, "material.duty_cycle": 0.0,
-                 "material.eps0_F_per_m": 0.0}
+# The fields a design file must carry: each field's example value, of its
+# type, and its limits in LIMITS form (None: unchecked). grid_N and the
+# wavelengths are checked as the config's are.
+DESIGN_FIELDS = {"version": ("", None), "kappa_rad_per_m": (0.0, POSITIVE),
+                 "L_mm": (0.0, POSITIVE), "target": ("", TARGETS),
+                 "grid_N": (0, None), "lambda1_um": (0.0, None),
+                 "lambda2_um": (0.0, None), "q_value": (0.0, FINITE),
+                 "kappa_at_search_boundary": (False, None), "material": ({}, None),
+                 "material.dispersion_set": ("", tuple(SELLMEIER_SETS)),
+                 "material.temperature_C": (0.0, FINITE),
+                 "material.chi2_m_per_V": (0.0, POSITIVE),
+                 "material.duty_cycle": (0.0, (0.0, 1.0)),
+                 "material.eps0_F_per_m": (0.0, POSITIVE)}
 
 
 def _design_from_file(path):
     with open(path) as fh:
         data = json.load(fh)
-    for key, ref in DESIGN_FIELDS.items():
+    for key, (ref, limits) in DESIGN_FIELDS.items():
         parent, _, name = key.rpartition(".")
         block = data[parent] if parent else data
         if not isinstance(block, dict) or name not in block:
             raise ConfigError(f"design file {path} lacks the key {key}")
         if not _type_ok(block[name], ref):
             raise ConfigError(f"bad type for design file key {key}: {block[name]!r}")
-    if data["target"] not in TARGETS:
-        raise ConfigError(f"design file key target must be 'deltak' or 'kappa', "
-                          f"got {data['target']!r}")
-    _check_grid_key(data["grid_N"], "design file key grid_N")
+        _check_limits("design file", key, block[name], limits)
+    mat = data["material"]
+    _check_grid_and_band("design file", "", data, mat["dispersion_set"])
     if data["version"] != __version__:
         raise ConfigError(f"design file key version is {data['version']!r}, "
                           f"but this is qasfg {__version__}")
-    mat = data["material"]
-    _check_open("design file", "q_value", data["q_value"], -math.inf, math.inf)
-    _check_open("design file", "material.chi2_m_per_V", mat["chi2_m_per_V"], 0.0, math.inf)
-    _check_open("design file", "material.duty_cycle", mat["duty_cycle"], 0.0, 1.0)
     model = DispersionModel.from_name(mat["dispersion_set"], mat["temperature_C"])
     nl = NonlinearConstants(chi2=mat["chi2_m_per_V"], duty_cycle=mat["duty_cycle"])
     return xp.assemble_design(
@@ -328,8 +315,7 @@ def cmd_design(args):
     cfg, cfg_hash = load_config(args.config)
     outdir = args.out or cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
-    kwargs, search = _design_kwargs(cfg)
-    design = xp.build_design(search_range=search, **kwargs)
+    design = _obtain_design(args, cfg)
 
     _write_csv(os.path.join(outdir, "design.csv"), cfg_hash,
                ["z_m", "deltak_rad_per_m", "Lambda_m"],
@@ -348,9 +334,9 @@ def cmd_simulate(args):
     cfg, cfg_hash = load_config(args.config)
     outdir = args.out or cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
-    steps = _check_steps_config(cfg)
     design = _obtain_design(args, cfg)
     sim = cfg["simulation"]
+    steps = sim["steps"]
     traj = xp.simulate_design(design, steps=steps, depleted=bool(sim["depleted"]),
                               signal_pump_ratio=sim["signal_pump_ratio"])
     names = ["z_m", "re_A1", "im_A1", "re_A3", "im_A3"]
@@ -376,7 +362,6 @@ def cmd_sweep(args):
             f"unknown sweep {args.name!r}; valid sweeps: {', '.join(SWEEP_NAMES)}")
     outdir = args.out or cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
-    steps = _check_steps_config(cfg)
 
     if args.name == "kappa-trace":
         kwargs, search = _design_kwargs(cfg)
@@ -400,7 +385,7 @@ def cmd_sweep(args):
         sweeps = xp.efficiency_vs_length(
             target=kwargs["target"], lengths=lengths, model=kwargs["model"],
             nonlinear=kwargs["nonlinear"], lam1=kwargs["lam1"], lam2=kwargs["lam2"],
-            grid_n=kwargs["grid_n"], steps=steps)
+            grid_n=kwargs["grid_n"])
         _write_csv(os.path.join(outdir, "length.csv"), cfg_hash,
                    ["length_m", "eta_designed", "eta_chirp_baseline"],
                    lengths, sweeps.qa.efficiencies, sweeps.lz.efficiencies)
@@ -415,20 +400,18 @@ def cmd_sweep(args):
     if args.name == "bandwidth":
         result = xp.bandwidth_sweep(
             design, lam_min=block["lambda_min_um"] * 1e-6,
-            lam_max=block["lambda_max_um"] * 1e-6, samples=block["samples"],
-            steps=steps)
+            lam_max=block["lambda_max_um"] * 1e-6, samples=block["samples"])
         print(f"fwhm = {result.summary['fwhm_nm']:.1f} nm")
     elif args.name in ("period", "pump"):
         sweep = {"period": xp.robustness_period_sweep,
                  "pump": xp.robustness_pump_sweep}[args.name]
         result = sweep(design, rel_min=block["min_pct"] / 100.0,
-                       rel_max=block["max_pct"] / 100.0, samples=block["samples"],
-                       steps=steps)
+                       rel_max=block["max_pct"] / 100.0, samples=block["samples"])
         print(f"eta(0) = {result.summary['eta_at_zero']:.6f}")
     else:
         result = xp.signal_intensity_sweep(
             design, ratio_min=block["ratio_min"], ratio_max=block["ratio_max"],
-            samples=block["samples"], steps=steps)
+            samples=block["samples"], steps=cfg["simulation"]["steps"])
         print(f"eta(ratio={block['ratio_max']}) = {result.summary['eta_at_max_ratio']:.4f}")
 
     names = [f"{result.parameter}_{result.unit}", "eta"]

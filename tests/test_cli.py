@@ -329,6 +329,11 @@ def test_bad_sweep_block_names_key(tmp_path, capsys, sweep, block, named):
     ({"material": {"d33_pm_per_V": float("inf")}}, "material.d33_pm_per_V"),
     ({"material": {"duty_cycle": 0.0}}, "material.duty_cycle"),
     ({"material": {"duty_cycle": 1.5}}, "material.duty_cycle"),
+    ({"material": {"chi2_convention": "foo"}}, "material.chi2_convention"),
+    ({"material": {"epsilon0_convention": "foo"}}, "material.epsilon0_convention"),
+    ({"design": {"target": "foo"}}, "design.target"),
+    ({"material": {"dispersion_set": "foo"}}, "material.dispersion_set"),
+    ({"material": {"temperature_C": float("nan")}}, "material.temperature_C"),
 ])
 def test_bad_design_value_names_key(tmp_path, capsys, block, named):
     # checked when the config loads, before the library sees the value
@@ -375,6 +380,18 @@ MISSING = object()  # an edit value that drops the key
      "bad value for design file key material.chi2_m_per_V"),
     ({"material": dict(VALID_DESIGN["material"], duty_cycle=1.0)},
      "bad value for design file key material.duty_cycle"),
+    ({"material": dict(VALID_DESIGN["material"], eps0_F_per_m=0.0)},
+     "bad value for design file key material.eps0_F_per_m"),
+    ({"material": dict(VALID_DESIGN["material"], eps0_F_per_m=-1.0)},
+     "bad value for design file key material.eps0_F_per_m"),
+    ({"kappa_rad_per_m": 0.0}, "bad value for design file key kappa_rad_per_m"),
+    ({"kappa_rad_per_m": -7510.0}, "bad value for design file key kappa_rad_per_m"),
+    ({"L_mm": 0.0}, "bad value for design file key L_mm"),
+    ({"lambda1_um": 9.0}, "bad value for design file key lambda1_um"),
+    ({"material": dict(VALID_DESIGN["material"], temperature_C=float("nan"))},
+     "bad value for design file key material.temperature_C"),
+    ({"material": dict(VALID_DESIGN["material"], dispersion_set="foo")},
+     "bad value for design file key material.dispersion_set"),
 ])
 def test_design_file_fields_typed(tmp_path, capsys, edit, named):
     cfg = write_config(tmp_path)
@@ -389,6 +406,23 @@ def test_design_file_fields_typed(tmp_path, capsys, edit, named):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--design", str(bad)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block,named", [
+    ({"design": {"target": "foo"}}, "design.target"),
+    ({"material": {"chi2_convention": "foo"}}, "material.chi2_convention"),
+    ({"design": {"grid_N": 1000}}, "design.grid_N"),
+])
+def test_config_checked_under_design_file(tmp_path, capsys, block, named):
+    # a --design run reads no design keys from the config, but still loads
+    # and checks all of it
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(VALID_DESIGN))
+    cfg = write_config(tmp_path, block)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--design", str(good)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def _strict_json(text):
