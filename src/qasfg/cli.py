@@ -69,7 +69,8 @@ FINITE = (-math.inf, math.inf)
 # key with "min" in its name has a "max" twin in its block, and the two form a
 # range: both set or neither, and min < max. A period error of -100 % or
 # +100 % or beyond has no first-order estimate. temperature_C need only be
-# finite: no temperature range is recorded for the dispersion sets.
+# finite here: no temperature range is recorded for the dispersion sets, and
+# _check_grid_and_band asks for finite real indices at it.
 LIMITS = {
     "material": {
         "dispersion_set": tuple(SELLMEIER_SETS),
@@ -155,27 +156,40 @@ def _merge_validate(user, default, limits, path=""):
     return merged
 
 
-def _check_grid_and_band(source, prefix, block, set_name):
+def _check_grid_and_band(source, prefix, block, mat):
     """The checks no single limit makes: block's grid_N odd and at least 1001,
-    and its wavelengths and their sum-frequency wavelength inside the validity
-    range of the dispersion set set_name. prefix is the path of block's keys."""
+    its wavelengths and their sum-frequency wavelength inside the validity
+    range of the dispersion set of the material block mat, and the three
+    refractive indices finite and real at mat's temperature. prefix is the
+    path of block's keys."""
     try:
         _check_grid_n(block["grid_N"])
     except TrajectoryError as err:
         raise ConfigError(f"bad value for {source} key {prefix}grid_N: {err}") from None
-    sellmeier = SELLMEIER_SETS[set_name]
+    sellmeier = SELLMEIER_SETS[mat["dispersion_set"]]
     lo, hi = sellmeier.valid_um
     for key in ("lambda1_um", "lambda2_um"):
         if not lo <= block[key] <= hi:
             raise ConfigError(
                 f"bad value for {source} key {prefix}{key}: need {lo} <= {key} <= "
                 f"{hi} ({sellmeier.name} validity range), got {block[key]!r}")
-    lam3 = 1.0 / (1.0 / block["lambda1_um"] + 1.0 / block["lambda2_um"])
+    lam1, lam2 = block["lambda1_um"], block["lambda2_um"]
+    lam3 = 1.0 / (1.0 / lam1 + 1.0 / lam2)
     if not lo <= lam3 <= hi:
         raise ConfigError(
             f"bad values for {source} keys {prefix}lambda1_um and {prefix}lambda2_um: "
             f"their sum-frequency wavelength {lam3:.4f} um lies outside the "
             f"{sellmeier.name} validity range [{lo}, {hi}] um")
+    try:
+        with np.errstate(all="ignore"):
+            n = sellmeier.index([lam1, lam2, lam3], mat["temperature_C"])
+    except OverflowError:  # a float power past the float range
+        n = [np.inf]
+    if not np.all(np.isfinite(n)):
+        raise ConfigError(
+            f"bad value for {source} key material.temperature_C: the {sellmeier.name} "
+            f"refractive indices at {mat['temperature_C']!r} deg C are not all finite "
+            "and real")
 
 
 def load_config(path):
@@ -189,8 +203,7 @@ def load_config(path):
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file {path} is not valid JSON: {err}")
         merged = _merge_validate(user, DEFAULT_CONFIG, LIMITS)
-        _check_grid_and_band("config", "design.", merged["design"],
-                             merged["material"]["dispersion_set"])
+        _check_grid_and_band("config", "design.", merged["design"], merged["material"])
     canonical = json.dumps(merged, sort_keys=True, separators=(",", ":"))
     return merged, hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -290,7 +303,7 @@ def _design_from_file(path):
             raise ConfigError(f"bad type for design file key {key}: {block[name]!r}")
         _check_limits("design file", key, block[name], limits)
     mat = data["material"]
-    _check_grid_and_band("design file", "", data, mat["dispersion_set"])
+    _check_grid_and_band("design file", "", data, mat)
     if data["version"] != __version__:
         raise ConfigError(f"design file key version is {data['version']!r}, "
                           f"but this is qasfg {__version__}")

@@ -153,6 +153,9 @@ def _q_eval(kappa, grid, target):
     return q if inside else np.inf
 
 
+INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
 def _downhill(xs, qs, grid_n, target):
     """Index of the scan row that centres the golden section's bracket: the
     argmin of the SCAN_GRID_N rows qs, moved to its lowest neighbour while
@@ -167,8 +170,7 @@ def _downhill(xs, qs, grid_n, target):
 
     def q_at(i):
         if i not in fine:
-            q, inside = _q(xs[i], 1.0, grid_n, target, grid)
-            fine[i] = q if inside else np.inf
+            fine[i] = _q_eval(xs[i], grid, target)
         return fine[i]
 
     while True:
@@ -178,10 +180,57 @@ def _downhill(xs, qs, grid_n, target):
         best = step
 
 
+def _golden(searches, xs, best, grid_n, target, width):
+    """The final bracket (a, b) in x = kappa*L of the golden section on the
+    unit-length problem on grid_n: from the rows beside the confirmed row
+    best to the first state (a, b, c, d, qc, qd) with b - a <= width, or
+    that floating point cannot shrink. Its points and comparisons do not
+    depend on the length, so the states are memoised in searches[grid_n]
+    beside the confirmed row, and a search walks them and solves only the
+    states past the last one, as a narrower width asks."""
+    states = searches.setdefault(grid_n, (best, ()))[1]
+    for a, b, c, d, _, _ in states:
+        if not (b - a > width and a < c < d < b):
+            return a, b
+    grid = _grid_factors(1.0, grid_n)
+    states = list(states)
+    if not states:
+        a, b = xs[max(best - 1, 0)], xs[min(best + 1, len(xs) - 1)]
+        c = b - INV_GOLDEN * (b - a)
+        d = a + INV_GOLDEN * (b - a)
+        states.append((a, b, c, d, _q_eval(c, grid, target), _q_eval(d, grid, target)))
+    a, b, c, d, qc, qd = states[-1]
+    while b - a > width and a < c < d < b:
+        if qc < qd:
+            b, d, qd = d, c, qc
+            c = b - INV_GOLDEN * (b - a)
+            qc = _q_eval(c, grid, target)
+        else:
+            a, c, qc = c, d, qd
+            d = a + INV_GOLDEN * (b - a)
+            qd = _q_eval(d, grid, target)
+        states.append((a, b, c, d, qc, qd))
+    # racing callers extend their own copies; the longest is kept
+    if len(states) > len(searches[grid_n][1]):
+        searches[grid_n] = (best, tuple(states))
+    return a, b
+
+
+def _confirmed_row(searches, xs, qs, grid_n, target):
+    """The row of grid_n in searches, the dict of one _scan_rows entry,
+    confirmed by _downhill and stored if none is. Two racing calls both
+    confirm the same index; the first one stored stays, with any
+    golden-section states memoised since."""
+    if grid_n not in searches:
+        searches.setdefault(grid_n, (_downhill(xs, qs, grid_n, target), ()))
+    return searches[grid_n][0]
+
+
 @lru_cache(maxsize=64)
 def _scan_rows(target, x_lo, x_hi, scan_points):
-    """The scan of _unit_scan without the bracket: (xs, qs, brackets), where
-    brackets maps each grid_n already confirmed to its row index."""
+    """The scan of _unit_scan without the bracket: (xs, qs, searches), where
+    searches maps each grid_n already confirmed to its row index and the
+    golden-section states memoised from that row's bracket."""
     xs = np.linspace(x_lo, x_hi, scan_points)
     qs = np.empty(scan_points)
     grid = _grid_factors(1.0, SCAN_GRID_N)
@@ -211,7 +260,8 @@ def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
 
     The rows do not depend on grid_n, so they are memoised on (target,
     x_lo, x_hi, scan_points) alone, and the confirmed index of each grid_n
-    is kept in the same cache entry: a warm call costs nothing, and a call
+    is kept in the same cache entry, beside the golden-section states that
+    optimize_kappa memoises from it: a warm call costs nothing, and a call
     on a new grid only confirms its bracket. cache_info and cache_clear are
     those of that one cache.
 
@@ -220,11 +270,8 @@ def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
     every row is the same whatever the block. An exception leaves nothing
     cached. The arrays are shared between callers and therefore read-only.
     """
-    xs, qs, brackets = _scan_rows(target, x_lo, x_hi, scan_points)
-    # two racing calls both confirm, and store the same index
-    if grid_n not in brackets:
-        brackets[grid_n] = _downhill(xs, qs, grid_n, target)
-    return xs, qs, brackets[grid_n]
+    xs, qs, searches = _scan_rows(target, x_lo, x_hi, scan_points)
+    return xs, qs, _confirmed_row(searches, xs, qs, grid_n, target)
 
 
 _unit_scan.cache_info = _scan_rows.cache_info
@@ -236,14 +283,19 @@ def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
     """Robustness-optimal coupling for the chosen error channel.
 
     Coarse uniform scan over the search range followed by golden-section
-    refinement to within tol (rad/m). The scan runs in kappa*L on the
-    unit-length problem at SCAN_GRID_N nodes, its minimum is confirmed on
-    grid_n, and it is memoised, so designs that share the target and kappa*L
-    window share its rows, and those that also share the grid share its
-    bracket. The refinement and q_opt are computed at the real length on
-    grid_n, from grid factors built once; trace_q holds the scan rows,
-    rescaled to the length. Invalid trajectories evaluate to +inf. A
-    minimum on the range boundary is reported via at_boundary, not hidden.
+    refinement to within tol (rad/m). Both run in x = kappa*L on the
+    unit-length problem, where q is scale-free (see _unit_scan): the scan
+    at SCAN_GRID_N nodes with its minimum confirmed on grid_n, the golden
+    section on grid_n until its bracket is at most tol*L wide in x, the
+    same stopping rule as tol in kappa. Neither depends on the length, so
+    both are memoised: designs that share the target and kappa*L window
+    share the scan rows, and those that also share the grid share the
+    bracket and the golden-section states, which a shorter length extends.
+    kappa* is the middle of the final bracket over L. q_opt is computed at
+    the real length on grid_n, the one q evaluation of a warm search;
+    trace_q holds the scan rows, rescaled to the length. Invalid
+    trajectories evaluate to +inf. A minimum on the range boundary is
+    reported via at_boundary, not hidden.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; choose from {TARGETS}")
@@ -266,33 +318,16 @@ def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
     if scan_points < 400:
         raise ValueError(f"scan needs at least 400 points, got {scan_points}")
 
-    xs, qs_unit, best = _unit_scan(target, grid_n, x_lo, x_hi, scan_points)
+    xs, qs_unit, searches = _scan_rows(target, x_lo, x_hi, scan_points)
+    best = _confirmed_row(searches, xs, qs_unit, grid_n, target)
     if not np.any(np.isfinite(qs_unit)):
         raise ValueError("no valid trajectory in the search range")
-    grid = _grid_factors(length, grid_n)
+    a, b = _golden(searches, xs, best, grid_n, target, tol * length)
+    kappa_opt = 0.5 * (a + b) / length
     ks = xs / length
     qs = qs_unit * length ** 2 if target == "deltak" else qs_unit.copy()
-    at_boundary = best in (0, scan_points - 1)
-
-    a = ks[max(best - 1, 0)]
-    b = ks[min(best + 1, scan_points - 1)]
-    inv_gr = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_gr * (b - a)
-    d = a + inv_gr * (b - a)
-    qc = _q_eval(c, grid, target)
-    qd = _q_eval(d, grid, target)
-    while b - a > tol:
-        if qc < qd:
-            b, d, qd = d, c, qc
-            c = b - inv_gr * (b - a)
-            qc = _q_eval(c, grid, target)
-        else:
-            a, c, qc = c, d, qd
-            d = a + inv_gr * (b - a)
-            qd = _q_eval(d, grid, target)
-    kappa_opt = 0.5 * (a + b)
     return OptimizeResult(
         kappa_opt=float(kappa_opt),
-        q_opt=float(_q_eval(kappa_opt, grid, target)),
-        target=target, length=length, at_boundary=at_boundary,
+        q_opt=float(_q_eval(kappa_opt, _grid_factors(length, grid_n), target)),
+        target=target, length=length, at_boundary=best in (0, scan_points - 1),
         trace_kappa=ks, trace_q=qs)

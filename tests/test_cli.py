@@ -334,6 +334,8 @@ def test_bad_sweep_block_names_key(tmp_path, capsys, sweep, block, named):
     ({"design": {"target": "foo"}}, "design.target"),
     ({"material": {"dispersion_set": "foo"}}, "material.dispersion_set"),
     ({"material": {"temperature_C": float("nan")}}, "material.temperature_C"),
+    # finite, but the Sellmeier temperature factor overflows to inf
+    ({"material": {"temperature_C": 1e300}}, "material.temperature_C"),
 ])
 def test_bad_design_value_names_key(tmp_path, capsys, block, named):
     # checked when the config loads, before the library sees the value
@@ -392,6 +394,9 @@ MISSING = object()  # an edit value that drops the key
      "bad value for design file key material.temperature_C"),
     ({"material": dict(VALID_DESIGN["material"], dispersion_set="foo")},
      "bad value for design file key material.dispersion_set"),
+    # the square of the temperature term overflows a Python float
+    ({"material": dict(VALID_DESIGN["material"], temperature_C=1e150)},
+     "bad value for design file key material.temperature_C"),
 ])
 def test_design_file_fields_typed(tmp_path, capsys, edit, named):
     cfg = write_config(tmp_path)

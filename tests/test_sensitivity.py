@@ -1,5 +1,7 @@
 import csv
 import json
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -76,9 +78,9 @@ def test_optimizer_deterministic():
 
 
 # kappa* of the 1 mm acceptance designs (75.096 / 61.890 /cm as printed), as
-# the search found them with q of full angle_profiles on every scan row and
-# golden-section step; the q kernel must reproduce them bit for bit.
-KAPPA_OPT_1MM = {"deltak": 7509.582393514355, "kappa": 6189.019463933282}
+# the unit-length search finds them: the golden section in x = kappa*L on the
+# unit-length problem, kappa* = the middle of its final bracket over L.
+KAPPA_OPT_1MM = {"deltak": 7509.582393514355, "kappa": 6189.019463933283}
 
 
 @pytest.mark.parametrize("target", ["deltak", "kappa"])
@@ -415,3 +417,146 @@ def test_scan_rows_are_solved_once_for_every_grid(target):
         assert np.array_equal(r.trace_q, cold.trace_q)
     _unit_scan.cache_clear()
     assert _unit_scan.cache_info().currsize == 0
+
+
+def _kappa_space_search(length, target, grid_n, search_range=None, tol=0.1):
+    """The golden section as optimize_kappa ran it before it moved to the
+    unit-length problem: in kappa at the real length, from the same scan
+    bracket. Returns kappa*, q_opt, at_boundary and the final bracket in
+    kappa."""
+    if search_range is None:
+        x_lo, x_hi = KL_SEARCH_MIN, KL_SEARCH_MAX
+    else:
+        x_lo, x_hi = search_range[0] * length, search_range[1] * length
+    xs, _, best = _unit_scan(target, grid_n, x_lo, x_hi, 400)
+    ks = xs / length
+    grid = _grid_factors(length, grid_n)
+    a, b = ks[max(best - 1, 0)], ks[min(best + 1, len(ks) - 1)]
+    inv_gr = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_gr * (b - a)
+    d = a + inv_gr * (b - a)
+    qc = sensitivity._q_eval(c, grid, target)
+    qd = sensitivity._q_eval(d, grid, target)
+    while b - a > tol:
+        if qc < qd:
+            b, d, qd = d, c, qc
+            c = b - inv_gr * (b - a)
+            qc = sensitivity._q_eval(c, grid, target)
+        else:
+            a, c, qc = c, d, qd
+            d = a + inv_gr * (b - a)
+            qd = sensitivity._q_eval(d, grid, target)
+    kappa = 0.5 * (a + b)
+    return kappa, sensitivity._q_eval(kappa, grid, target), best in (0, len(ks) - 1), (a, b)
+
+
+@pytest.mark.parametrize("grid_n", [1001, 3001, 4001, 5001])
+@pytest.mark.parametrize("target", TARGETS)
+def test_unit_length_search_matches_kappa_space_reference(target, grid_n):
+    # Seeded lengths of 0.2-20 mm, each in the default kappa*L window and in
+    # one seeded explicit window: the unit-length golden section moves
+    # kappa* and q_opt only by rounding, and the final brackets of one window
+    # nest, the shorter length's inside the longer one's.
+    rng = np.random.default_rng(TARGETS.index(target) * 10000 + grid_n)
+    lengths = np.sort(np.exp(rng.uniform(np.log(0.2e-3), np.log(20e-3), 4)))
+    brackets = []
+    for length in lengths:
+        kl = (rng.uniform(1.01 * np.pi, 5.5), rng.uniform(8.5, 11.0))
+        for window in (None, (kl[0] / length, kl[1] / length)):
+            r = optimize_kappa(length, target=target, search_range=window, grid_n=grid_n)
+            kappa, q, at_boundary, bracket = _kappa_space_search(length, target,
+                                                                 grid_n, window)
+            assert r.at_boundary == at_boundary
+            assert r.kappa_opt == pytest.approx(kappa, rel=1e-12, abs=0.0)
+            assert r.q_opt == pytest.approx(q, rel=1e-14, abs=0.0)
+            if window is None:
+                brackets.append((r.kappa_opt * length,
+                                 bracket[0] * length, bracket[1] * length))
+    for (x_short, _, _), (_, a_long, b_long) in zip(brackets, brackets[1:]):
+        assert a_long < x_short < b_long
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_memoised_search_makes_one_q_call(monkeypatch, target):
+    # once one length is searched, a longer one in the same window on the
+    # same grid finds its bracket among the memoised golden-section states
+    # and evaluates q once, at its real length
+    _unit_scan.cache_clear()
+    optimize_kappa(L, target=target, grid_n=3001)
+    real_q = sensitivity._q
+    lengths = []
+
+    def counting_q(k, length, *args):
+        lengths.append(length)
+        return real_q(k, length, *args)
+
+    monkeypatch.setattr(sensitivity, "_q", counting_q)
+    warm = optimize_kappa(4 * L, target=target, grid_n=3001)
+    assert lengths == [4 * L]
+    monkeypatch.setattr(sensitivity, "_q", real_q)
+    _unit_scan.cache_clear()
+    cold = optimize_kappa(4 * L, target=target, grid_n=3001)
+    _unit_scan.cache_clear()
+    assert (warm.kappa_opt, warm.q_opt, warm.at_boundary) == \
+        (cold.kappa_opt, cold.q_opt, cold.at_boundary)
+
+
+def test_racing_searches_keep_a_consistent_memo():
+    # Threads search the same window and grid at several lengths at once,
+    # with the interpreter switching threads every microsecond. Each result
+    # is the serial one, and the memoised states stay a prefix of the one
+    # golden-section sequence, whichever extension was stored last.
+    lengths = (0.2e-3, 0.5e-3, 1e-3, 3e-3, 10e-3)
+    _unit_scan.cache_clear()
+    serial = {length: optimize_kappa(length, grid_n=1001) for length in lengths}
+    searches = sensitivity._scan_rows("deltak", KL_SEARCH_MIN, KL_SEARCH_MAX, 400)[2]
+    full = searches[1001][1]
+    _unit_scan.cache_clear()
+    results, errors = [], []
+
+    def worker(order):
+        try:
+            for length in order:
+                results.append((length, optimize_kappa(length, grid_n=1001)))
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    rng = np.random.default_rng(5)
+    threads = [threading.Thread(target=worker, args=(rng.permutation(lengths),))
+               for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(results) == 6 * len(lengths)
+    for length, r in results:
+        assert (r.kappa_opt, r.q_opt) == (serial[length].kappa_opt, serial[length].q_opt)
+    searches = sensitivity._scan_rows("deltak", KL_SEARCH_MIN, KL_SEARCH_MAX, 400)[2]
+    stored = searches[1001][1]
+    _unit_scan.cache_clear()
+    assert 0 < len(stored) <= len(full) and stored == full[:len(stored)]
+
+
+def test_golden_section_starts_a_fresh_entry_from_its_row():
+    # The row confirmed in one scan entry's dict, the golden section run on
+    # a dict that holds nothing yet, as when the entry is evicted and solved
+    # again between two searches: it starts from the row it is given, stores
+    # it beside its states, and ends on the bracket of the confirmed entry.
+    _unit_scan.cache_clear()
+    xs, qs, searches = sensitivity._scan_rows("deltak", KL_SEARCH_MIN, KL_SEARCH_MAX, 400)
+    best = sensitivity._confirmed_row(searches, xs, qs, 1001, "deltak")
+    assert searches == {1001: (best, ())}
+    fresh = {}
+    bracket = sensitivity._golden(fresh, xs, best, 1001, "deltak", 0.1 * L)
+    assert fresh[1001][0] == best and len(fresh[1001][1]) > 0
+    assert sensitivity._golden(searches, xs, best, 1001, "deltak", 0.1 * L) == bracket
+    assert searches == fresh
+    r = optimize_kappa(L, grid_n=1001)
+    _unit_scan.cache_clear()
+    assert r.kappa_opt == 0.5 * (bracket[0] + bracket[1]) / L
