@@ -181,15 +181,10 @@ def _check_grid_and_band(source, prefix, block, mat):
             f"their sum-frequency wavelength {lam3:.4f} um lies outside the "
             f"{sellmeier.name} validity range [{lo}, {hi}] um")
     try:
-        with np.errstate(all="ignore"):
-            n = sellmeier.index([lam1, lam2, lam3], mat["temperature_C"])
-    except OverflowError:  # a float power past the float range
-        n = [np.inf]
-    if not np.all(np.isfinite(n)):
+        sellmeier.index([lam1, lam2, lam3], mat["temperature_C"])
+    except MaterialError as err:
         raise ConfigError(
-            f"bad value for {source} key material.temperature_C: the {sellmeier.name} "
-            f"refractive indices at {mat['temperature_C']!r} deg C are not all finite "
-            "and real")
+            f"bad value for {source} key material.temperature_C: {err}") from None
 
 
 def load_config(path):

@@ -129,8 +129,7 @@ def build_design(length, target="deltak", model=DispersionModel(),
                            at_boundary=opt.at_boundary)
 
 
-def simulate_design(design, steps=20000, depleted=False, signal_pump_ratio=1.0,
-                    record_stride=None):
+def simulate_design(design, steps=20000, depleted=False, signal_pump_ratio=1.0):
     """Propagate the design at its center wavelength.
 
     Undepleted mode launches the unit signal; depleted mode launches
@@ -140,9 +139,8 @@ def simulate_design(design, steps=20000, depleted=False, signal_pump_ratio=1.0,
     if depleted:
         initial = FieldState(a1=signal_pump_ratio, a3=0.0, a2=1.0)
         return simulate_depleted(design.mismatch, coupling, steps=steps,
-                                 initial=initial, record_stride=record_stride)
-    return simulate_undepleted(design.mismatch, coupling, steps=steps,
-                               record_stride=record_stride)
+                                 initial=initial)
+    return simulate_undepleted(design.mismatch, coupling, steps=steps)
 
 
 def bandwidth_sweep(design, lam_min=2.6e-6, lam_max=3.6e-6, samples=201,

@@ -4,6 +4,7 @@ All quantities are SI internally (m, rad/m, rad/s, V/m, W/m^2). Wavelengths
 passed to the Sellmeier series are converted to um inside.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +39,31 @@ class SellmeierSet:
     valid_um: tuple  # inclusive wavelength range in um
 
     def index(self, lam_um, temperature_c):
+        """n at the wavelengths lam_um (um) and temperature_c (deg C).
+        Raises MaterialError unless every index is finite and real and no
+        temperature term overflows the float range: a huge finite
+        temperature can give a finite index from an infinite pole term."""
         a1, a2, a3, a4, a5, a6 = self.a
         b1, b2, b3, b4 = self.b
-        f = (temperature_c - 24.5) * (temperature_c + 570.82)
-        lm2 = np.asarray(lam_um, dtype=float) ** 2
-        n2 = (a1 + b1 * f
-              + (a2 + b2 * f) / (lm2 - (a3 + b3 * f) ** 2)
-              + (a4 + b4 * f) / (lm2 - a5 ** 2)
-              - a6 * lm2)
-        return np.sqrt(n2)
+        t = float(temperature_c)  # a float overflows to inf without a warning
+        f = (t - 24.5) * (t + 570.82)
+        try:
+            pole2 = math.pow(a3 + b3 * f, 2)  # finite only if f and each b*f are
+        except OverflowError:
+            pole2 = math.inf
+        if math.isfinite(pole2):
+            lm2 = np.asarray(lam_um, dtype=float) ** 2
+            n2 = (a1 + b1 * f
+                  + (a2 + b2 * f) / (lm2 - pole2)
+                  + (a4 + b4 * f) / (lm2 - a5 ** 2)
+                  - a6 * lm2)
+            # NaN fails both comparisons; a scalar n2 is an np.float64, a float
+            if (0.0 < n2 < math.inf if isinstance(n2, float)
+                    else np.all((n2 > 0.0) & (n2 < math.inf))):
+                return np.sqrt(n2)
+        raise MaterialError(
+            f"the {self.name} refractive indices at {temperature_c!r} deg C are "
+            "not all finite and real")
 
 
 # 5 mol% MgO-doped congruent LiNbO3 (Gayer et al. 2008 coefficient sets).

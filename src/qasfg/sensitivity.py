@@ -43,6 +43,11 @@ SCAN_SAMPLES = 1 << 13
 # ranking is confirmed on the design grid.
 SCAN_GRID_N = 251
 
+# Couplings of every kappa*L scan, and the width (rad/m) of kappa at which
+# the golden section stops.
+SCAN_POINTS = 400
+TOL = 0.1
+
 
 @dataclass(frozen=True)
 class OptimizeResult:
@@ -216,37 +221,13 @@ def _golden(searches, xs, best, grid_n, target, width):
     return a, b
 
 
-def _confirmed_row(searches, xs, qs, grid_n, target):
-    """The row of grid_n in searches, the dict of one _scan_rows entry,
-    confirmed by _downhill and stored if none is. Two racing calls both
-    confirm the same index; the first one stored stays, with any
-    golden-section states memoised since."""
-    if grid_n not in searches:
-        searches.setdefault(grid_n, (_downhill(xs, qs, grid_n, target), ()))
-    return searches[grid_n][0]
-
-
 @lru_cache(maxsize=64)
-def _scan_rows(target, x_lo, x_hi, scan_points):
-    """The scan of _unit_scan without the bracket: (xs, qs, searches), where
-    searches maps each grid_n already confirmed to its row index and the
-    golden-section states memoised from that row's bracket."""
-    xs = np.linspace(x_lo, x_hi, scan_points)
-    qs = np.empty(scan_points)
-    grid = _grid_factors(1.0, SCAN_GRID_N)
-    rows = max(1, SCAN_SAMPLES // SCAN_GRID_N)
-    for i in range(0, scan_points, rows):
-        q, inside = _q(xs[i:i + rows, None], 1.0, SCAN_GRID_N, target, grid)
-        qs[i:i + rows] = np.where(inside, q, np.inf)
-    xs.flags.writeable = qs.flags.writeable = False
-    return xs, qs, {}
-
-
-def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
-    """The couplings x = linspace(x_lo, x_hi, scan_points), the sensitivity
-    Q(x) of the unit-length problem on SCAN_GRID_N nodes (+inf where theta
-    leaves (0, pi)), and the index of the row that centres the golden
-    section's bracket on grid_n.
+def _scan_rows(target, x_lo, x_hi):
+    """The couplings xs = linspace(x_lo, x_hi, SCAN_POINTS), the sensitivity
+    qs = Q(xs) of the unit-length problem on SCAN_GRID_N nodes (+inf where
+    theta leaves (0, pi)), and searches, a dict mapping each grid_n already
+    confirmed to its row index and the golden-section states memoised from
+    that row's bracket.
 
     q is scale-free: q_deltak(kappa, L) = L^2 Q(kappa L) and
     q_kappa(kappa, L) = Q(kappa L), so one scan serves every length. Each
@@ -258,51 +239,44 @@ def _unit_scan(target, grid_n, x_lo, x_hi, scan_points):
     the couplings as the design grid does; _downhill confirms the argmin
     on grid_n.
 
-    The rows do not depend on grid_n, so they are memoised on (target,
-    x_lo, x_hi, scan_points) alone, and the confirmed index of each grid_n
-    is kept in the same cache entry, beside the golden-section states that
-    optimize_kappa memoises from it: a warm call costs nothing, and a call
-    on a new grid only confirms its bracket. cache_info and cache_clear are
-    those of that one cache.
-
     The rows are solved on the calling thread in blocks of
     SCAN_SAMPLES // SCAN_GRID_N rows on grid factors built once per scan;
     every row is the same whatever the block. An exception leaves nothing
     cached. The arrays are shared between callers and therefore read-only.
     """
-    xs, qs, searches = _scan_rows(target, x_lo, x_hi, scan_points)
-    return xs, qs, _confirmed_row(searches, xs, qs, grid_n, target)
+    xs = np.linspace(x_lo, x_hi, SCAN_POINTS)
+    qs = np.empty(SCAN_POINTS)
+    grid = _grid_factors(1.0, SCAN_GRID_N)
+    rows = max(1, SCAN_SAMPLES // SCAN_GRID_N)
+    for i in range(0, SCAN_POINTS, rows):
+        q, inside = _q(xs[i:i + rows, None], 1.0, SCAN_GRID_N, target, grid)
+        qs[i:i + rows] = np.where(inside, q, np.inf)
+    xs.flags.writeable = qs.flags.writeable = False
+    return xs, qs, {}
 
 
-_unit_scan.cache_info = _scan_rows.cache_info
-_unit_scan.cache_clear = _scan_rows.cache_clear
-
-
-def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
-                   tol=0.1, grid_n=4001):
+def optimize_kappa(length, target="deltak", search_range=None, grid_n=4001):
     """Robustness-optimal coupling for the chosen error channel.
 
-    Coarse uniform scan over the search range followed by golden-section
-    refinement to within tol (rad/m). Both run in x = kappa*L on the
-    unit-length problem, where q is scale-free (see _unit_scan): the scan
-    at SCAN_GRID_N nodes with its minimum confirmed on grid_n, the golden
-    section on grid_n until its bracket is at most tol*L wide in x, the
-    same stopping rule as tol in kappa. Neither depends on the length, so
-    both are memoised: designs that share the target and kappa*L window
-    share the scan rows, and those that also share the grid share the
-    bracket and the golden-section states, which a shorter length extends.
-    kappa* is the middle of the final bracket over L. q_opt is computed at
-    the real length on grid_n, the one q evaluation of a warm search;
-    trace_q holds the scan rows, rescaled to the length. Invalid
-    trajectories evaluate to +inf. A minimum on the range boundary is
-    reported via at_boundary, not hidden.
+    Coarse uniform scan of SCAN_POINTS couplings over the search range
+    followed by golden-section refinement to within TOL (rad/m). Both run
+    in x = kappa*L on the unit-length problem, where q is scale-free (see
+    _scan_rows): the scan at SCAN_GRID_N nodes with its minimum confirmed
+    on grid_n, the golden section on grid_n until its bracket is at most
+    TOL*L wide in x, the same stopping rule as TOL in kappa. Neither
+    depends on the length, so both are memoised: designs that share the
+    target and kappa*L window share the scan rows, and those that also
+    share the grid share the bracket and the golden-section states, which
+    a shorter length extends. kappa* is the middle of the final bracket
+    over L. q_opt is computed at the real length on grid_n, the one q
+    evaluation of a warm search; trace_q holds the scan rows, rescaled to
+    the length. Invalid trajectories evaluate to +inf. A minimum on the
+    range boundary is reported via at_boundary, not hidden.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; choose from {TARGETS}")
     if not (np.isfinite(length) and length > 0.0):
         raise ValueError(f"length must be positive and finite, got {length}")
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     _check_grid_n(grid_n)
     if search_range is None:
         x_lo, x_hi = KL_SEARCH_MIN, KL_SEARCH_MAX
@@ -315,19 +289,20 @@ def optimize_kappa(length, target="deltak", search_range=None, scan_points=400,
             raise ValueError(
                 f"search range must satisfy kappa*L > pi; lower bound gives "
                 f"kappa*L = {x_lo:.4f}")
-    if scan_points < 400:
-        raise ValueError(f"scan needs at least 400 points, got {scan_points}")
 
-    xs, qs_unit, searches = _scan_rows(target, x_lo, x_hi, scan_points)
-    best = _confirmed_row(searches, xs, qs_unit, grid_n, target)
+    xs, qs_unit, searches = _scan_rows(target, x_lo, x_hi)
+    # confirm the row once per grid; racing searches confirm the same one
+    if grid_n not in searches:
+        searches.setdefault(grid_n, (_downhill(xs, qs_unit, grid_n, target), ()))
+    best = searches[grid_n][0]
     if not np.any(np.isfinite(qs_unit)):
         raise ValueError("no valid trajectory in the search range")
-    a, b = _golden(searches, xs, best, grid_n, target, tol * length)
+    a, b = _golden(searches, xs, best, grid_n, target, TOL * length)
     kappa_opt = 0.5 * (a + b) / length
     ks = xs / length
     qs = qs_unit * length ** 2 if target == "deltak" else qs_unit.copy()
     return OptimizeResult(
         kappa_opt=float(kappa_opt),
         q_opt=float(_q_eval(kappa_opt, _grid_factors(length, grid_n), target)),
-        target=target, length=length, at_boundary=best in (0, scan_points - 1),
+        target=target, length=length, at_boundary=best in (0, SCAN_POINTS - 1),
         trace_kappa=ks, trace_q=qs)

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from qasfg.materials import (
-    C_LIGHT, EPS0_CODATA, EPS0_PAPER_VALUE, DispersionModel, MaterialError,
+    C_LIGHT, EPS0_CODATA, EPS0_PAPER_VALUE, GAYER_MGO_CLN_E, SELLMEIER_SETS,
+    DispersionModel, MaterialError,
     NonlinearConstants, coupling_coefficient, make_wave_triplet, poling_period,
     pump_amplitude_for_kappa, pump_intensity, refractive_index,
 )
@@ -41,6 +44,41 @@ def test_index_deterministic_and_smooth():
     assert np.all(np.abs(np.diff(n1)) < 5e-4)
     # smooth: second differences stay at the curvature floor (no jumps)
     assert np.all(np.abs(np.diff(n1, 2)) < 5e-6)
+
+
+@pytest.mark.parametrize("temperature", [1e150, 1e300, float("nan")])
+@pytest.mark.parametrize("name", sorted(SELLMEIER_SETS))
+def test_index_rejects_overflowing_temperature(name, temperature):
+    # 1e150 deg C overflows the squared pole term, yet the series would still
+    # give a finite index of about 1e147; 1e300 overflows the temperature
+    # factor itself. No warning comes first.
+    sellmeier = SELLMEIER_SETS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (temperature, np.float64(temperature)):
+            for lam in (3.0, [3.0, 1.064, 0.78]):
+                with pytest.raises(MaterialError, match="not all finite and real"):
+                    sellmeier.index(lam, t)
+
+
+def test_index_rejects_a_pole_crossing_the_band():
+    # near 2818 deg C the temperature-shifted pole of the extraordinary set
+    # crosses the band, and the squared index of some wavelength goes negative
+    with pytest.raises(MaterialError, match="2818"):
+        GAYER_MGO_CLN_E.index([3.0, 1.064, 0.78], 2818.0)
+
+
+@pytest.mark.parametrize("name", sorted(SELLMEIER_SETS))
+def test_index_at_ordinary_temperatures_is_the_series(name):
+    sellmeier = SELLMEIER_SETS[name]
+    (a1, a2, a3, a4, a5, a6), (b1, b2, b3, b4) = sellmeier.a, sellmeier.b
+    lam = np.linspace(0.5, 4.0, 71)
+    for t in (-40.0, 0.0, 25.0, 100.0, 250.0):
+        f = (t - 24.5) * (t + 570.82)
+        ref = np.sqrt(a1 + b1 * f + (a2 + b2 * f) / (lam ** 2 - (a3 + b3 * f) ** 2)
+                      + (a4 + b4 * f) / (lam ** 2 - a5 ** 2) - a6 * lam ** 2)
+        assert np.array_equal(sellmeier.index(lam, t), ref)
+        assert [sellmeier.index(x, t) for x in lam] == list(ref)
 
 
 def test_unknown_set_name():

@@ -16,7 +16,7 @@ from qasfg.experiments import LAB_FRAME_COUPLING, fwhm_interval, tolerance_inter
 from qasfg.propagation import (FieldState, simulate_depleted, simulate_undepleted,
                                undepleted_efficiencies)
 from qasfg.sensitivity import (KL_SEARCH_MAX, KL_SEARCH_MIN, SCAN_GRID_N, TARGETS, _q,
-                               _unit_scan, optimize_kappa, q_deltak, q_kappa)
+                               optimize_kappa, q_deltak, q_kappa)
 from qasfg.trajectory import (TrajectoryError, TrajectorySpec, _cumulative_simpson,
                               _simpson, angle_profiles, delta_k_profile)
 
@@ -77,7 +77,7 @@ def test_simpson_rules_match_scipy(panels, span, coeffs, omega, complex_valued):
 @given(length=lengths, others=st.lists(lengths, min_size=1, max_size=3),
        target=targets)
 def test_optimizer_independent_of_scan_cache(length, others, target):
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     cold = optimize_kappa(length, target=target, grid_n=GRID)
     warm = optimize_kappa(length, target=target, grid_n=GRID)
     for other in others:
@@ -101,7 +101,7 @@ def test_scan_rows_are_the_single_row_kernel(x_lo, width, target, grid_n):
     # windows past kappa*L ~ 18.7 hold rows whose theta leaves (0, pi); the
     # rows lie on SCAN_GRID_N nodes whatever the design grid is, and the
     # kernel on the design grid is q of angle_profiles there
-    xs, qs, _ = _unit_scan(target, grid_n, x_lo, x_lo + width, 400)
+    xs, qs, _ = sensitivity._scan_rows(target, x_lo, x_lo + width)
     qfun = q_deltak if target == "deltak" else q_kappa
     for x, q in zip(xs, qs):
         single, inside = _q(x, 1.0, SCAN_GRID_N, target)
@@ -135,7 +135,8 @@ def test_scan_bracket_is_the_design_grid_argmin(length, target, grid_n, window):
     else:
         lo, hi = window[0] / length, (window[0] + window[1]) / length
         x_lo, x_hi = lo * length, hi * length  # as optimize_kappa forms them
-    xs, _, best = _unit_scan(target, grid_n, x_lo, x_hi, 400)
+    xs, qs, _ = sensitivity._scan_rows(target, x_lo, x_hi)
+    best = sensitivity._downhill(xs, qs, grid_n, target)
     fine = _row_by_row(xs, grid_n, target)
     assert fine[best] <= fine[max(best - 1, 0)]
     assert fine[best] <= fine[min(best + 1, len(xs) - 1)]
@@ -151,7 +152,8 @@ def test_coarse_scan_ranks_as_the_design_grid(grid_n, x_lo, width, target):
     # the premise of ranking on SCAN_GRID_N nodes: on kappa*L windows inside
     # [KL_SEARCH_MIN, 18], the confirmed row is the argmin of a row-by-row
     # scan on grid_n
-    xs, _, best = _unit_scan(target, grid_n, x_lo, min(x_lo + width, 18.0), 400)
+    xs, qs, _ = sensitivity._scan_rows(target, x_lo, min(x_lo + width, 18.0))
+    best = sensitivity._downhill(xs, qs, grid_n, target)
     assert best == int(np.argmin(_row_by_row(xs, grid_n, target)))
 
 
@@ -160,9 +162,10 @@ def test_scan_walks_a_near_tie_to_the_design_grid_minimum(monkeypatch, target):
     # Lower the scan row next to the grid_n minimum just below it, so the
     # SCAN_GRID_N argmin sits one row off: the walk moves back on grid_n.
     grid_n = 2001
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     ref = optimize_kappa(REF_LENGTH, target=target, grid_n=grid_n)
-    xs, qs, best = _unit_scan(target, grid_n, KL_SEARCH_MIN, KL_SEARCH_MAX, 400)
+    xs, qs, _ = sensitivity._scan_rows(target, KL_SEARCH_MIN, KL_SEARCH_MAX)
+    best = sensitivity._downhill(xs, qs, grid_n, target)
     assert 0 < best < len(xs) - 1
     off = best + 1
     real_q = sensitivity._q
@@ -174,10 +177,11 @@ def test_scan_walks_a_near_tie_to_the_design_grid_minimum(monkeypatch, target):
         return q, inside
 
     monkeypatch.setattr(sensitivity, "_q", nudged)
-    _unit_scan.cache_clear()
-    _, nudged_qs, walked = _unit_scan(target, grid_n, KL_SEARCH_MIN, KL_SEARCH_MAX, 400)
+    sensitivity._scan_rows.cache_clear()
+    _, nudged_qs, _ = sensitivity._scan_rows(target, KL_SEARCH_MIN, KL_SEARCH_MAX)
+    walked = sensitivity._downhill(xs, nudged_qs, grid_n, target)
     r = optimize_kappa(REF_LENGTH, target=target, grid_n=grid_n)
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     assert int(np.argmin(nudged_qs)) == off
     assert walked == best == int(np.argmin(_row_by_row(xs, grid_n, target)))
     assert (r.kappa_opt, r.q_opt, r.at_boundary) == \
@@ -190,15 +194,15 @@ def test_scan_past_theta_grazing_pi_matches_full_grid_bracket(monkeypatch, targe
     # rows past it are +inf. A scan ranked on the design grid itself gives
     # the same kappa* and q_opt.
     window, grid_n = (15000.0, 25000.0), 4001
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     got = optimize_kappa(REF_LENGTH, target=target, search_range=window, grid_n=grid_n)
     assert not np.isfinite(got.trace_q).all()
     with monkeypatch.context() as mp:
         mp.setattr(sensitivity, "SCAN_GRID_N", grid_n)
-        _unit_scan.cache_clear()
+        sensitivity._scan_rows.cache_clear()
         ref = optimize_kappa(REF_LENGTH, target=target, search_range=window,
                              grid_n=grid_n)
-        _unit_scan.cache_clear()
+        sensitivity._scan_rows.cache_clear()
     assert (got.kappa_opt, got.q_opt, got.at_boundary) == \
         (ref.kappa_opt, ref.q_opt, ref.at_boundary)
     assert np.array_equal(np.isfinite(got.trace_q), np.isfinite(ref.trace_q))

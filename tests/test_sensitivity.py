@@ -12,7 +12,7 @@ from qasfg import sensitivity
 from qasfg.cli import main
 from qasfg.propagation import simulate_undepleted
 from qasfg.sensitivity import (
-    KL_SEARCH_MAX, KL_SEARCH_MIN, SCAN_GRID_N, TARGETS, _q, _unit_scan,
+    KL_SEARCH_MAX, KL_SEARCH_MIN, SCAN_GRID_N, SCAN_POINTS, TARGETS, _q,
     eta_from_period_error, first_order_efficiency, optimize_kappa,
     perturbation_coefficients, q_deltak, q_kappa,
 )
@@ -117,6 +117,17 @@ def test_optimizer_flags_boundary_minimum():
     assert r.at_boundary
 
 
+@pytest.mark.parametrize("window,edge", [((6000.0, 6500.0), SCAN_POINTS - 1),
+                                         ((8000.0, 9000.0), 0)])
+def test_optimizer_flags_a_minimum_on_either_scan_edge(window, edge):
+    # kappa* of the 1 mm deltak design lies near 7500 /m: a window below it
+    # has its minimum on the last scan row, one above it on the first
+    r = optimize_kappa(L, target="deltak", search_range=window, grid_n=1001)
+    assert r.at_boundary
+    assert int(np.argmin(r.trace_q)) == edge
+    assert len(r.trace_kappa) == len(r.trace_q) == SCAN_POINTS
+
+
 def test_optimizer_rejects_bad_ranges():
     with pytest.raises(ValueError, match="pi"):
         optimize_kappa(L, search_range=(2000.0, 3000.0))
@@ -125,16 +136,7 @@ def test_optimizer_rejects_bad_ranges():
     with pytest.raises(ValueError, match="search range"):
         optimize_kappa(L, search_range=(5000.0, np.inf))
     with pytest.raises(ValueError):
-        optimize_kappa(L, scan_points=100)
-    with pytest.raises(ValueError):
         optimize_kappa(L, target="frequency")
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-def test_optimizer_rejects_bad_tol(tol):
-    # a non-positive tol used to spin the golden section forever
-    with pytest.raises(ValueError, match="tol"):
-        optimize_kappa(L, tol=tol)
 
 
 def test_optimizer_rejects_bad_length_and_grid():
@@ -286,7 +288,7 @@ def test_scan_block_error_reaches_caller_uncached(monkeypatch):
     # an error in the second of the scan's 13 row blocks, after the first has
     # filled its rows, reaches optimize_kappa and leaves no partial scan in
     # the cache
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     clean = optimize_kappa(L, grid_n=1001)
     real_q = sensitivity._q
     calls = []
@@ -297,15 +299,15 @@ def test_scan_block_error_reaches_caller_uncached(monkeypatch):
             raise RuntimeError("broken block")
         return real_q(k, length, grid_n, target, *args)
 
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     monkeypatch.setattr(sensitivity, "_q", broken_q)
     with pytest.raises(RuntimeError, match="broken block"):
         optimize_kappa(L, grid_n=1001)
     assert [len(shape) for shape in calls] == [2, 2]  # the first two of 13 row blocks
-    assert _unit_scan.cache_info().currsize == 0
+    assert sensitivity._scan_rows.cache_info().currsize == 0
     monkeypatch.setattr(sensitivity, "_q", real_q)
     again = optimize_kappa(L, grid_n=1001)
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     assert (again.kappa_opt, again.q_opt) == (clean.kappa_opt, clean.q_opt)
     assert np.array_equal(again.trace_q, clean.trace_q)
 
@@ -313,16 +315,16 @@ def test_scan_block_error_reaches_caller_uncached(monkeypatch):
 @pytest.mark.parametrize("target", TARGETS)
 def test_cold_search_traced_peak_under_one_mib(target):
     # the scan's row blocks allocate per op, each temporary about 64 KiB
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     optimize_kappa(L, target=target, grid_n=4001)  # imports and first-call set-up
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     tracemalloc.start()
     try:
         optimize_kappa(L, target=target, grid_n=4001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _unit_scan.cache_clear()
+        sensitivity._scan_rows.cache_clear()
     assert peak < 1 << 20
 
 
@@ -405,18 +407,18 @@ def test_scan_kernel_scalar_k_at_real_lengths_matches_reference(target, grid_n):
 def test_scan_rows_are_solved_once_for_every_grid(target):
     # the rows do not depend on grid_n; only the confirmed bracket does
     grids = (3001, 4001, 5001)
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     warm = [optimize_kappa(L, target=target, grid_n=g) for g in grids]
-    assert _unit_scan.cache_info().misses == 1
-    assert _unit_scan.cache_info().currsize == 1
+    assert sensitivity._scan_rows.cache_info().misses == 1
+    assert sensitivity._scan_rows.cache_info().currsize == 1
     for g, r in zip(grids, warm):
-        _unit_scan.cache_clear()
+        sensitivity._scan_rows.cache_clear()
         cold = optimize_kappa(L, target=target, grid_n=g)
         assert (r.kappa_opt, r.q_opt, r.at_boundary) == \
             (cold.kappa_opt, cold.q_opt, cold.at_boundary)
         assert np.array_equal(r.trace_q, cold.trace_q)
-    _unit_scan.cache_clear()
-    assert _unit_scan.cache_info().currsize == 0
+    sensitivity._scan_rows.cache_clear()
+    assert sensitivity._scan_rows.cache_info().currsize == 0
 
 
 def _kappa_space_search(length, target, grid_n, search_range=None, tol=0.1):
@@ -428,7 +430,8 @@ def _kappa_space_search(length, target, grid_n, search_range=None, tol=0.1):
         x_lo, x_hi = KL_SEARCH_MIN, KL_SEARCH_MAX
     else:
         x_lo, x_hi = search_range[0] * length, search_range[1] * length
-    xs, _, best = _unit_scan(target, grid_n, x_lo, x_hi, 400)
+    xs, qs, _ = sensitivity._scan_rows(target, x_lo, x_hi)
+    best = sensitivity._downhill(xs, qs, grid_n, target)
     ks = xs / length
     grid = _grid_factors(length, grid_n)
     a, b = ks[max(best - 1, 0)], ks[min(best + 1, len(ks) - 1)]
@@ -481,7 +484,7 @@ def test_memoised_search_makes_one_q_call(monkeypatch, target):
     # once one length is searched, a longer one in the same window on the
     # same grid finds its bracket among the memoised golden-section states
     # and evaluates q once, at its real length
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     optimize_kappa(L, target=target, grid_n=3001)
     real_q = sensitivity._q
     lengths = []
@@ -494,9 +497,9 @@ def test_memoised_search_makes_one_q_call(monkeypatch, target):
     warm = optimize_kappa(4 * L, target=target, grid_n=3001)
     assert lengths == [4 * L]
     monkeypatch.setattr(sensitivity, "_q", real_q)
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     cold = optimize_kappa(4 * L, target=target, grid_n=3001)
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     assert (warm.kappa_opt, warm.q_opt, warm.at_boundary) == \
         (cold.kappa_opt, cold.q_opt, cold.at_boundary)
 
@@ -507,11 +510,11 @@ def test_racing_searches_keep_a_consistent_memo():
     # is the serial one, and the memoised states stay a prefix of the one
     # golden-section sequence, whichever extension was stored last.
     lengths = (0.2e-3, 0.5e-3, 1e-3, 3e-3, 10e-3)
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     serial = {length: optimize_kappa(length, grid_n=1001) for length in lengths}
-    searches = sensitivity._scan_rows("deltak", KL_SEARCH_MIN, KL_SEARCH_MAX, 400)[2]
+    searches = sensitivity._scan_rows("deltak", KL_SEARCH_MIN, KL_SEARCH_MAX)[2]
     full = searches[1001][1]
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     results, errors = [], []
 
     def worker(order):
@@ -537,9 +540,9 @@ def test_racing_searches_keep_a_consistent_memo():
     assert errors == [] and len(results) == 6 * len(lengths)
     for length, r in results:
         assert (r.kappa_opt, r.q_opt) == (serial[length].kappa_opt, serial[length].q_opt)
-    searches = sensitivity._scan_rows("deltak", KL_SEARCH_MIN, KL_SEARCH_MAX, 400)[2]
+    searches = sensitivity._scan_rows("deltak", KL_SEARCH_MIN, KL_SEARCH_MAX)[2]
     stored = searches[1001][1]
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     assert 0 < len(stored) <= len(full) and stored == full[:len(stored)]
 
 
@@ -548,9 +551,10 @@ def test_golden_section_starts_a_fresh_entry_from_its_row():
     # a dict that holds nothing yet, as when the entry is evicted and solved
     # again between two searches: it starts from the row it is given, stores
     # it beside its states, and ends on the bracket of the confirmed entry.
-    _unit_scan.cache_clear()
-    xs, qs, searches = sensitivity._scan_rows("deltak", KL_SEARCH_MIN, KL_SEARCH_MAX, 400)
-    best = sensitivity._confirmed_row(searches, xs, qs, 1001, "deltak")
+    sensitivity._scan_rows.cache_clear()
+    xs, qs, searches = sensitivity._scan_rows("deltak", KL_SEARCH_MIN, KL_SEARCH_MAX)
+    best = sensitivity._downhill(xs, qs, 1001, "deltak")
+    searches.setdefault(1001, (best, ()))  # stored as optimize_kappa stores it
     assert searches == {1001: (best, ())}
     fresh = {}
     bracket = sensitivity._golden(fresh, xs, best, 1001, "deltak", 0.1 * L)
@@ -558,5 +562,5 @@ def test_golden_section_starts_a_fresh_entry_from_its_row():
     assert sensitivity._golden(searches, xs, best, 1001, "deltak", 0.1 * L) == bracket
     assert searches == fresh
     r = optimize_kappa(L, grid_n=1001)
-    _unit_scan.cache_clear()
+    sensitivity._scan_rows.cache_clear()
     assert r.kappa_opt == 0.5 * (bracket[0] + bracket[1]) / L
