@@ -156,32 +156,36 @@ def _merge_validate(user, default, limits, path=""):
     return merged
 
 
-def _check_grid_and_band(source, prefix, block, mat):
+def _check_grid_and_band(source, prefix, block, mat, signals=()):
     """The checks no single limit makes: block's grid_N odd and at least 1001,
     its wavelengths and their sum-frequency wavelength inside the validity
     range of the dispersion set of the material block mat, and the three
     refractive indices finite and real at mat's temperature. prefix is the
-    path of block's keys."""
+    path of block's keys. signals holds more (key, wavelength in um) pairs,
+    each checked as block's lambda1_um is."""
     try:
         _check_grid_n(block["grid_N"])
     except TrajectoryError as err:
         raise ConfigError(f"bad value for {source} key {prefix}grid_N: {err}") from None
     sellmeier = SELLMEIER_SETS[mat["dispersion_set"]]
     lo, hi = sellmeier.valid_um
-    for key in ("lambda1_um", "lambda2_um"):
-        if not lo <= block[key] <= hi:
-            raise ConfigError(
-                f"bad value for {source} key {prefix}{key}: need {lo} <= {key} <= "
-                f"{hi} ({sellmeier.name} validity range), got {block[key]!r}")
     lam1, lam2 = block["lambda1_um"], block["lambda2_um"]
-    lam3 = 1.0 / (1.0 / lam1 + 1.0 / lam2)
-    if not lo <= lam3 <= hi:
-        raise ConfigError(
-            f"bad values for {source} keys {prefix}lambda1_um and {prefix}lambda2_um: "
-            f"their sum-frequency wavelength {lam3:.4f} um lies outside the "
-            f"{sellmeier.name} validity range [{lo}, {hi}] um")
+    signals = [(prefix + "lambda1_um", lam1), *signals]
+    for key, lam in [(prefix + "lambda2_um", lam2), *signals]:
+        if not lo <= lam <= hi:
+            name = key.rpartition(".")[2]
+            raise ConfigError(
+                f"bad value for {source} key {key}: need {lo} <= {name} <= "
+                f"{hi} ({sellmeier.name} validity range), got {lam!r}")
+    for key, lam in signals:
+        lam3 = 1.0 / (1.0 / lam + 1.0 / lam2)
+        if not lo <= lam3 <= hi:
+            raise ConfigError(
+                f"bad values for {source} keys {key} and {prefix}lambda2_um: "
+                f"their sum-frequency wavelength {lam3:.4f} um lies outside the "
+                f"{sellmeier.name} validity range [{lo}, {hi}] um")
     try:
-        sellmeier.index([lam1, lam2, lam3], mat["temperature_C"])
+        sellmeier.index([lam1, lam2, 1.0 / (1.0 / lam1 + 1.0 / lam2)], mat["temperature_C"])
     except MaterialError as err:
         raise ConfigError(
             f"bad value for {source} key material.temperature_C: {err}") from None
@@ -198,7 +202,10 @@ def load_config(path):
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file {path} is not valid JSON: {err}")
         merged = _merge_validate(user, DEFAULT_CONFIG, LIMITS)
-        _check_grid_and_band("config", "design.", merged["design"], merged["material"])
+        band = merged["sweeps"]["bandwidth"]
+        _check_grid_and_band("config", "design.", merged["design"], merged["material"],
+                             [(f"sweeps.bandwidth.{key}", band[key])
+                              for key in ("lambda_min_um", "lambda_max_um")])
     canonical = json.dumps(merged, sort_keys=True, separators=(",", ":"))
     return merged, hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -246,29 +253,35 @@ def _write_json(path, payload, cfg_hash):
         fh.write(text + "\n")
 
 
+def _design_record(design):
+    """The design's identity and its material, as two dicts: design.json
+    nests the material, and every summary's "design" block is the two merged."""
+    identity = {"target": design.target, "kappa_per_cm": design.kappa / 100.0,
+                "L_mm": design.length * 1e3, "q_value": design.q_value,
+                "grid_N": design.mismatch.z.size,
+                "lambda1_um": design.triplet.lam1 * 1e6,
+                "lambda2_um": design.triplet.lam2 * 1e6,
+                "kappa_at_search_boundary": design.at_boundary}
+    material = {"dispersion_set": design.model.sellmeier.name,
+                "temperature_C": design.model.temperature_c,
+                "chi2_m_per_V": design.nonlinear.chi2,
+                "duty_cycle": design.nonlinear.duty_cycle,
+                "eps0_F_per_m": design.eps0}
+    return identity, material
+
+
+def _design_block(design):
+    identity, material = _design_record(design)
+    return dict(identity, **material)
+
+
 def _design_payload(design):
-    return {
-        "kappa_per_cm": design.kappa / 100.0,
-        "kappa_rad_per_m": design.kappa,
-        "L_mm": design.length * 1e3,
-        "target": design.target,
-        "grid_N": design.provenance["grid_N"],
-        "lambda1_um": design.triplet.lam1 * 1e6,
-        "lambda2_um": design.triplet.lam2 * 1e6,
-        "lambda3_um": design.triplet.lam3 * 1e6,
-        "A2_V_per_m": design.pump_amplitude,
-        "intensity_W_per_m2": design.pump_intensity,
-        "intensity_MW_per_cm2": design.pump_intensity / 1e10,
-        "q_value": design.q_value,
-        "kappa_at_search_boundary": design.provenance["kappa_at_search_boundary"],
-        "material": {
-            "dispersion_set": design.model.sellmeier.name,
-            "temperature_C": design.model.temperature_c,
-            "chi2_m_per_V": design.nonlinear.chi2,
-            "duty_cycle": design.nonlinear.duty_cycle,
-            "eps0_F_per_m": design.eps0,
-        },
-    }
+    identity, material = _design_record(design)
+    return dict(identity, material=material, kappa_rad_per_m=design.kappa,
+                lambda3_um=design.triplet.lam3 * 1e6,
+                A2_V_per_m=design.pump_amplitude,
+                intensity_W_per_m2=design.pump_intensity,
+                intensity_MW_per_cm2=design.pump_intensity / 1e10)
 
 
 # The fields a design file must carry: each field's example value, of its
@@ -357,7 +370,7 @@ def cmd_simulate(args):
                 {"eta": traj.efficiency, "steps": steps, "steps_taken": traj.steps,
                  "depleted": bool(sim["depleted"]),
                  "signal_pump_ratio": sim["signal_pump_ratio"] if sim["depleted"] else None,
-                 "design": design.provenance},
+                 "design": _design_block(design)},
                 cfg_hash)
     print(f"eta = {traj.efficiency:.6f}")
     return 0
@@ -386,14 +399,11 @@ def cmd_sweep(args):
         return 0
 
     if args.name == "length":
-        kwargs, _ = _design_kwargs(cfg)
-        block = cfg["sweeps"]["length"]
+        d, block = cfg["design"], cfg["sweeps"]["length"]
         lengths = np.geomspace(block["min_mm"] * 1e-3, block["max_mm"] * 1e-3,
                                block["samples"])
-        sweeps = xp.efficiency_vs_length(
-            target=kwargs["target"], lengths=lengths, model=kwargs["model"],
-            nonlinear=kwargs["nonlinear"], lam1=kwargs["lam1"], lam2=kwargs["lam2"],
-            grid_n=kwargs["grid_n"])
+        sweeps = xp.efficiency_vs_length(target=d["target"], lengths=lengths,
+                                         grid_n=d["grid_N"])
         _write_csv(os.path.join(outdir, "length.csv"), cfg_hash,
                    ["length_m", "eta_designed", "eta_chirp_baseline"],
                    lengths, sweeps.qa.efficiencies, sweeps.lz.efficiencies)
@@ -431,7 +441,7 @@ def cmd_sweep(args):
     _write_json(os.path.join(outdir, f"{args.name}_summary.json"),
                 {"parameter": result.parameter, "unit": result.unit,
                  "samples": len(result.values), "summary": result.summary,
-                 "design": design.provenance}, cfg_hash)
+                 "design": _design_block(design)}, cfg_hash)
     return 0
 
 

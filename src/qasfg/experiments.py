@@ -2,7 +2,7 @@
 and signal-depletion experiments.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,9 @@ __all__ = [
 # is exact under this mapping and fails without it.
 LAB_FRAME_COUPLING = 0.5
 
+# The efficiency levels of the robustness sweeps' tolerance intervals.
+THRESHOLDS = (0.99, 0.95, 0.90, 0.80)
+
 
 @dataclass(frozen=True)
 class CrystalDesign:
@@ -49,7 +52,7 @@ class CrystalDesign:
     pump_intensity: float  # W/m^2
     q_value: float
     eps0: float
-    provenance: dict = field(default_factory=dict)
+    at_boundary: bool = False  # kappa at an edge of the search range
 
 
 @dataclass(frozen=True)
@@ -95,26 +98,11 @@ def assemble_design(kappa, length, target, model=DispersionModel(),
     periods = poling_period(mismatch.delta_k, triplet)
     a2 = pump_amplitude_for_kappa(kappa, triplet, nonlinear)
     intensity = pump_intensity(a2, triplet.n2, eps0)
-    provenance = {
-        "target": target,
-        "kappa_per_cm": kappa / 100.0,
-        "L_mm": length * 1e3,
-        "q_value": q_value,
-        "grid_N": grid_n,
-        "lambda1_um": lam1 * 1e6,
-        "lambda2_um": lam2 * 1e6,
-        "dispersion_set": model.sellmeier.name,
-        "temperature_C": model.temperature_c,
-        "chi2_m_per_V": nonlinear.chi2,
-        "duty_cycle": nonlinear.duty_cycle,
-        "eps0_F_per_m": eps0,
-        "kappa_at_search_boundary": at_boundary,
-    }
     return CrystalDesign(
         kappa=kappa, length=length, target=target, model=model,
         triplet=triplet, nonlinear=nonlinear, angles=angles, mismatch=mismatch,
         poling_period_m=periods, pump_amplitude=a2, pump_intensity=intensity,
-        q_value=q_value, eps0=eps0, provenance=provenance)
+        q_value=q_value, eps0=eps0, at_boundary=at_boundary)
 
 
 def build_design(length, target="deltak", model=DispersionModel(),
@@ -173,7 +161,7 @@ def bandwidth_sweep(design, lam_min=2.6e-6, lam_max=3.6e-6, samples=201,
 
 
 def robustness_period_sweep(design, rel_min=-0.20, rel_max=0.20, samples=81,
-                            steps=20000, workers=1, thresholds=(0.99, 0.95, 0.90, 0.80)):
+                            steps=20000, workers=1):
     """Uniformly scale the poling period by (1 + x) and re-simulate.
 
     The grating wavevector scales as 1/(1 + x) at every sample; the material
@@ -194,13 +182,13 @@ def robustness_period_sweep(design, rel_min=-0.20, rel_max=0.20, samples=81,
     estimates = _first_order_estimates(design.angles, amplitudes,
                                        eta_deltak=1.0 / design.poling_period_m)
     summary = {"tolerance_intervals": {
-        str(t): tolerance_interval(xs, etas, t) for t in thresholds}}
+        str(t): tolerance_interval(xs, etas, t) for t in THRESHOLDS}}
     summary["eta_at_zero"] = float(etas[int(np.argmin(np.abs(xs)))])
     return SweepResult("period_rel_error", "1", xs, etas, summary, estimates)
 
 
 def robustness_pump_sweep(design, rel_min=-0.25, rel_max=0.25, samples=81,
-                          steps=20000, workers=1, thresholds=(0.99, 0.95, 0.90, 0.80)):
+                          steps=20000, workers=1):
     """Scale the pump intensity by (1 + x); the coupling scales as sqrt(1 + x).
     Solved as bandwidth_sweep; steps and workers are accepted and ignored."""
     if rel_min <= -1.0:
@@ -212,23 +200,23 @@ def robustness_pump_sweep(design, rel_min=-0.25, rel_max=0.25, samples=81,
     estimates = _first_order_estimates(design.angles, np.sqrt(1.0 + xs) - 1.0,
                                        eta_kappa=1.0)
     summary = {"tolerance_intervals": {
-        str(t): tolerance_interval(xs, etas, t) for t in thresholds}}
+        str(t): tolerance_interval(xs, etas, t) for t in THRESHOLDS}}
     summary["eta_at_zero"] = float(etas[int(np.argmin(np.abs(xs)))])
     return SweepResult("pump_intensity_rel_error", "1", xs, etas, summary, estimates)
 
 
-def efficiency_vs_length(target="deltak", lengths=None, model=DispersionModel(),
-                         nonlinear=NonlinearConstants(), lam1=3.0e-6,
-                         lam2=1.064e-6, reference_length=1e-3, grid_n=4001,
-                         steps=20000, workers=1, sustain_threshold=0.90):
+def efficiency_vs_length(target="deltak", lengths=None, grid_n=4001,
+                         steps=20000, workers=1):
     """Conversion efficiency vs crystal length.
 
     The engineered design uses the scaling law kappa*(L) * L = const anchored
-    at the reference length. The chirp baseline keeps the reference coupling
-    and ramps the mismatch linearly between the reference design's endpoint
-    values over each length. Solved as bandwidth_sweep; steps and workers
-    are accepted and ignored.
+    at the 1 mm reference length. The chirp baseline keeps the reference
+    coupling and ramps the mismatch linearly between the reference design's
+    endpoint values over each length. Both depend on kappa*L and z/L only,
+    so no material enters. Solved as bandwidth_sweep; steps and workers are
+    accepted and ignored.
     """
+    reference_length, sustain_threshold = 1e-3, 0.90
     if lengths is None:
         lengths = np.geomspace(0.2e-3, 20e-3, 25)
     lengths = np.asarray(lengths, dtype=float)

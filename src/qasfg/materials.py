@@ -40,12 +40,15 @@ class SellmeierSet:
 
     def index(self, lam_um, temperature_c):
         """n at the wavelengths lam_um (um) and temperature_c (deg C).
-        Raises MaterialError unless every index is finite and real and no
-        temperature term overflows the float range: a huge finite
-        temperature can give a finite index from an infinite pole term."""
+        Raises MaterialError at or below absolute zero, and unless every
+        index is finite and real and no temperature term overflows the float
+        range: a huge finite temperature can give a finite index from an
+        infinite pole term."""
         a1, a2, a3, a4, a5, a6 = self.a
         b1, b2, b3, b4 = self.b
         t = float(temperature_c)  # a float overflows to inf without a warning
+        if t <= -273.15:  # NaN falls through to the index check below
+            raise MaterialError(f"{temperature_c!r} deg C is at or below absolute zero")
         f = (t - 24.5) * (t + 570.82)
         try:
             pole2 = math.pow(a3 + b3 * f, 2)  # finite only if f and each b*f are

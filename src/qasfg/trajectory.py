@@ -243,15 +243,16 @@ def delta_k_profile(angles):
     return MismatchProfile(z=z, delta_k=dk, phi=phi, kappa=k, length=angles.length)
 
 
-def boundary_check(angles, mismatch, rel_tol=1e-9):
-    """Verify the design boundary conditions on the sampled arrays.
+def boundary_check(angles, mismatch):
+    """Verify the design boundary conditions on the sampled arrays, the
+    angle conditions to 1e-9 of their scale.
 
     Returns a dict with one entry per condition: {"ok": bool, "value": float,
     "expected": float, or None where no value is expected}, plus "all_ok"
     and a "near_degenerate" flag raised when kappa*L is so close to pi that
     the endpoint mismatch nearly vanishes.
     """
-    k, L = angles.kappa, angles.length
+    k, L, rel_tol = angles.kappa, angles.length, 1e-9
     scale_ddot = max(abs(angles.theta_ddot).max(), 1.0)
 
     def entry(value, expected, tol):

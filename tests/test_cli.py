@@ -176,6 +176,41 @@ def test_length_sweep_outputs(tmp_path):
     assert "chirp_baseline" in summary
 
 
+def test_length_sweep_takes_no_material(tmp_path):
+    # the length sweep depends on kappa*L and z/L only, so another dispersion
+    # set, temperature and signal wavelength write the same rows and summary
+    length = {"sweeps": {"length": {"samples": 5}}}
+    other = {"material": {"dispersion_set": "gayer2008_mgo_cln_o",
+                          "temperature_C": 60.0}, "design": {"lambda1_um": 3.2}}
+    runs = []
+    for name, extra in (("default", {}), ("other", other)):
+        cfg = write_config(tmp_path, dict(length, **extra), name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["sweep", "length", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "length_summary.json").read_text())
+        runs.append(((out / "length.csv").read_text().splitlines(),
+                     summary.pop("config_sha256"), summary))
+    (rows, hash_a, summary), (other_rows, hash_b, other_summary) = runs
+    assert len(rows) == 3 + 5 and rows[2:] == other_rows[2:]
+    assert hash_a != hash_b and summary == other_summary
+
+
+def test_summary_design_block_is_the_design_record(tmp_path):
+    # the "design" block of every summary is design.json's identity keys
+    # merged with its material block, for a design from the config or a file
+    out = tmp_path / "out"
+    assert main(["design", "--out", str(out)]) == 0
+    assert main(["simulate", "--out", str(out)]) == 0
+    assert main(["sweep", "pump", "--out", str(out / "f"),
+                 "--design", str(out / "design.json")]) == 0
+    payload = json.loads((out / "design.json").read_text())
+    identity = ("target", "kappa_per_cm", "L_mm", "q_value", "grid_N", "lambda1_um",
+                "lambda2_um", "kappa_at_search_boundary")
+    record = dict({key: payload[key] for key in identity}, **payload["material"])
+    for path in (out / "simulate_summary.json", out / "f" / "pump_summary.json"):
+        assert json.loads(path.read_text())["design"] == record
+
+
 @pytest.mark.parametrize("sweep", ["bandwidth", "period", "pump", "length"])
 def test_exact_sweeps_ignore_steps(tmp_path, sweep):
     # the undepleted sweeps take no steps, so any positive count gives the
@@ -302,6 +337,11 @@ def test_integer_and_boolean_keys_typed(tmp_path, capsys, block, key, value):
     ("signal", {"ratio_min": 0.0}, "sweeps.signal.ratio_min"),
     ("period", {"min_pct": -10.0, "max_pct": 150.0, "samples": 5}, "sweeps.period.max_pct"),
     ("period", {"max_pct": 100.0}, "sweeps.period.max_pct"),
+    # outside the dispersion set's 0.5-4 um, or summed with lambda2_um below it
+    ("bandwidth", {"lambda_max_um": 4.5}, "sweeps.bandwidth.lambda_max_um"),
+    ("bandwidth", {"lambda_min_um": 0.4, "lambda_max_um": 3.0},
+     "sweeps.bandwidth.lambda_min_um"),
+    ("bandwidth", {"lambda_min_um": 0.6}, "sweeps.bandwidth.lambda_min_um"),
 ])
 def test_bad_sweep_block_names_key(tmp_path, capsys, sweep, block, named):
     # checked when the config loads: exit 2 naming the key, for any subcommand
@@ -336,6 +376,9 @@ def test_bad_sweep_block_names_key(tmp_path, capsys, sweep, block, named):
     ({"material": {"temperature_C": float("nan")}}, "material.temperature_C"),
     # finite, but the Sellmeier temperature factor overflows to inf
     ({"material": {"temperature_C": 1e300}}, "material.temperature_C"),
+    # finite real indices, but at or below absolute zero
+    ({"material": {"temperature_C": -400.0}}, "material.temperature_C"),
+    ({"material": {"temperature_C": -273.15}}, "material.temperature_C"),
 ])
 def test_bad_design_value_names_key(tmp_path, capsys, block, named):
     # checked when the config loads, before the library sees the value
@@ -396,6 +439,10 @@ MISSING = object()  # an edit value that drops the key
      "bad value for design file key material.dispersion_set"),
     # the square of the temperature term overflows a Python float
     ({"material": dict(VALID_DESIGN["material"], temperature_C=1e150)},
+     "bad value for design file key material.temperature_C"),
+    ({"material": dict(VALID_DESIGN["material"], temperature_C=-400.0)},
+     "bad value for design file key material.temperature_C"),
+    ({"material": dict(VALID_DESIGN["material"], temperature_C=-273.15)},
      "bad value for design file key material.temperature_C"),
 ])
 def test_design_file_fields_typed(tmp_path, capsys, edit, named):

@@ -61,6 +61,17 @@ def test_index_rejects_overflowing_temperature(name, temperature):
                     sellmeier.index(lam, t)
 
 
+@pytest.mark.parametrize("temperature", [-400.0, -273.15])
+@pytest.mark.parametrize("name", sorted(SELLMEIER_SETS))
+def test_index_rejects_absolute_zero_and_below(name, temperature):
+    # the series still gives finite real indices there
+    sellmeier = SELLMEIER_SETS[name]
+    with pytest.raises(MaterialError, match="at or below absolute zero"):
+        sellmeier.index([3.0, 1.064, 0.78], temperature)
+    with pytest.raises(MaterialError, match="at or below absolute zero"):
+        make_wave_triplet(3.0e-6, 1.064e-6, DispersionModel(sellmeier, temperature))
+
+
 def test_index_rejects_a_pole_crossing_the_band():
     # near 2818 deg C the temperature-shifted pole of the extraordinary set
     # crosses the band, and the squared index of some wavelength goes negative
