@@ -19,8 +19,8 @@ from .sensitivity import (
 )
 from .propagation import (
     FieldState, FieldTrajectory, PropagationError, constant_mismatch,
-    lz_linear_chirp, simulate_depleted, simulate_undepleted,
-    undepleted_efficiencies,
+    depleted_efficiencies, lz_linear_chirp, simulate_depleted,
+    simulate_undepleted, undepleted_efficiencies,
 )
 from .experiments import (
     LAB_FRAME_COUPLING, CrystalDesign, LengthSweeps, SweepResult,

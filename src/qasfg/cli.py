@@ -156,13 +156,13 @@ def _merge_validate(user, default, limits, path=""):
     return merged
 
 
-def _check_grid_and_band(source, prefix, block, mat, signals=()):
+def _check_grid_and_band(source, prefix, block, mat, signals):
     """The checks no single limit makes: block's grid_N odd and at least 1001,
     its wavelengths and their sum-frequency wavelength inside the validity
     range of the dispersion set of the material block mat, and the three
     refractive indices finite and real at mat's temperature. prefix is the
-    path of block's keys. signals holds more (key, wavelength in um) pairs,
-    each checked as block's lambda1_um is."""
+    path of block's keys. signals holds config (key, wavelength in um)
+    pairs, each checked as block's lambda1_um is."""
     try:
         _check_grid_n(block["grid_N"])
     except TrajectoryError as err:
@@ -170,18 +170,19 @@ def _check_grid_and_band(source, prefix, block, mat, signals=()):
     sellmeier = SELLMEIER_SETS[mat["dispersion_set"]]
     lo, hi = sellmeier.valid_um
     lam1, lam2 = block["lambda1_um"], block["lambda2_um"]
-    signals = [(prefix + "lambda1_um", lam1), *signals]
-    for key, lam in [(prefix + "lambda2_um", lam2), *signals]:
+    signals = [(source, prefix + "lambda1_um", lam1),
+               *(("config", key, lam) for key, lam in signals)]
+    for src, key, lam in [(source, prefix + "lambda2_um", lam2), *signals]:
         if not lo <= lam <= hi:
             name = key.rpartition(".")[2]
             raise ConfigError(
-                f"bad value for {source} key {key}: need {lo} <= {name} <= "
+                f"bad value for {src} key {key}: need {lo} <= {name} <= "
                 f"{hi} ({sellmeier.name} validity range), got {lam!r}")
-    for key, lam in signals:
+    for src, key, lam in signals:
         lam3 = 1.0 / (1.0 / lam + 1.0 / lam2)
         if not lo <= lam3 <= hi:
             raise ConfigError(
-                f"bad values for {source} keys {key} and {prefix}lambda2_um: "
+                f"bad values for {src} key {key} and {source} key {prefix}lambda2_um: "
                 f"their sum-frequency wavelength {lam3:.4f} um lies outside the "
                 f"{sellmeier.name} validity range [{lo}, {hi}] um")
     try:
@@ -189,6 +190,13 @@ def _check_grid_and_band(source, prefix, block, mat, signals=()):
     except MaterialError as err:
         raise ConfigError(
             f"bad value for {source} key material.temperature_C: {err}") from None
+
+
+def _band_window(cfg):
+    """The bandwidth sweep's window as (config key, wavelength in um) pairs."""
+    band = cfg["sweeps"]["bandwidth"]
+    return [(f"sweeps.bandwidth.{key}", band[key])
+            for key in ("lambda_min_um", "lambda_max_um")]
 
 
 def load_config(path):
@@ -202,10 +210,8 @@ def load_config(path):
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file {path} is not valid JSON: {err}")
         merged = _merge_validate(user, DEFAULT_CONFIG, LIMITS)
-        band = merged["sweeps"]["bandwidth"]
         _check_grid_and_band("config", "design.", merged["design"], merged["material"],
-                             [(f"sweeps.bandwidth.{key}", band[key])
-                              for key in ("lambda_min_um", "lambda_max_um")])
+                             _band_window(merged))
     canonical = json.dumps(merged, sort_keys=True, separators=(",", ":"))
     return merged, hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -299,7 +305,10 @@ DESIGN_FIELDS = {"version": ("", None), "kappa_rad_per_m": (0.0, POSITIVE),
                  "material.eps0_F_per_m": (0.0, POSITIVE)}
 
 
-def _design_from_file(path):
+def _design_from_file(path, signals):
+    """The design a design file records, checked as a config's design block
+    is, with the config's (key, wavelength in um) pairs signals checked
+    against the file's pump wavelength and material."""
     with open(path) as fh:
         data = json.load(fh)
     for key, (ref, limits) in DESIGN_FIELDS.items():
@@ -311,7 +320,7 @@ def _design_from_file(path):
             raise ConfigError(f"bad type for design file key {key}: {block[name]!r}")
         _check_limits("design file", key, block[name], limits)
     mat = data["material"]
-    _check_grid_and_band("design file", "", data, mat)
+    _check_grid_and_band("design file", "", data, mat, signals)
     if data["version"] != __version__:
         raise ConfigError(f"design file key version is {data['version']!r}, "
                           f"but this is qasfg {__version__}")
@@ -327,7 +336,7 @@ def _design_from_file(path):
 
 def _obtain_design(args, cfg):
     if getattr(args, "design", None):
-        return _design_from_file(args.design)
+        return _design_from_file(args.design, _band_window(cfg))
     kwargs, search = _design_kwargs(cfg)
     return xp.build_design(search_range=search, **kwargs)
 
@@ -335,8 +344,8 @@ def _obtain_design(args, cfg):
 def cmd_design(args):
     cfg, cfg_hash = load_config(args.config)
     outdir = args.out or cfg["output"]["dir"]
-    os.makedirs(outdir, exist_ok=True)
     design = _obtain_design(args, cfg)
+    os.makedirs(outdir, exist_ok=True)
 
     _write_csv(os.path.join(outdir, "design.csv"), cfg_hash,
                ["z_m", "deltak_rad_per_m", "Lambda_m"],
@@ -354,8 +363,8 @@ def cmd_design(args):
 def cmd_simulate(args):
     cfg, cfg_hash = load_config(args.config)
     outdir = args.out or cfg["output"]["dir"]
-    os.makedirs(outdir, exist_ok=True)
     design = _obtain_design(args, cfg)
+    os.makedirs(outdir, exist_ok=True)
     sim = cfg["simulation"]
     steps = sim["steps"]
     traj = xp.simulate_design(design, steps=steps, depleted=bool(sim["depleted"]),
@@ -382,6 +391,8 @@ def cmd_sweep(args):
         raise ConfigError(
             f"unknown sweep {args.name!r}; valid sweeps: {', '.join(SWEEP_NAMES)}")
     outdir = args.out or cfg["output"]["dir"]
+    # a design is read (and checked) before any output directory is made
+    design = None if args.name in ("kappa-trace", "length") else _obtain_design(args, cfg)
     os.makedirs(outdir, exist_ok=True)
 
     if args.name == "kappa-trace":
@@ -413,7 +424,6 @@ def cmd_sweep(args):
         print(f"flatness = {sweeps.qa.summary['flatness_max_minus_min']:.2e}")
         return 0
 
-    design = _obtain_design(args, cfg)
     block = cfg["sweeps"][args.name]
     if args.name == "bandwidth":
         result = xp.bandwidth_sweep(

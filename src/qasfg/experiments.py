@@ -11,7 +11,8 @@ from .materials import (DispersionModel, NonlinearConstants, WaveTriplet,
                         coupling_coefficient, pump_amplitude_for_kappa,
                         pump_intensity, poling_period)
 from .propagation import (FieldState, simulate_undepleted, simulate_depleted,
-                          undepleted_efficiencies, lz_linear_chirp)
+                          undepleted_efficiencies, depleted_efficiencies,
+                          lz_linear_chirp)
 from .sensitivity import (_first_order_estimates, eta_from_period_error,
                           optimize_kappa)
 from .trajectory import (AngleProfiles, TrajectorySpec, MismatchProfile,
@@ -256,16 +257,16 @@ def efficiency_vs_length(target="deltak", lengths=None, grid_n=4001,
 
 def signal_intensity_sweep(design, ratio_min=0.01, ratio_max=1.0, samples=41,
                            steps=20000, workers=1):
-    """Depleted-pump efficiency vs signal/pump flux-amplitude ratio: one
-    scalar RK4 run of simulate_depleted per point, stepping the profile cell
-    by cell and recording (almost) only the end point; workers is ignored."""
+    """Depleted-pump efficiency vs signal/pump flux-amplitude ratio, by
+    depleted_efficiencies: simulate_depleted's RK4 on each point alone in a
+    short sweep, on arrays of all points in a long one; workers is ignored."""
     if ratio_min <= 0.0:
         raise ValueError("ratio_min must be positive (zero signal has no efficiency)")
-    coupling = LAB_FRAME_COUPLING * design.kappa
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     ratios = np.linspace(ratio_min, ratio_max, samples)
-    etas = np.array([simulate_depleted(
-        design.mismatch, coupling, steps=steps, record_stride=steps,
-        initial=FieldState(a1=r, a3=0.0, a2=1.0)).efficiency for r in ratios])
+    etas = depleted_efficiencies(design.mismatch, LAB_FRAME_COUPLING * design.kappa,
+                                 ratios, steps=steps)
     flat = ratios[etas >= 0.99]
     summary = {"eta_at_max_ratio": float(etas[-1]),
                "flat_region_max_ratio": float(flat.max()) if flat.size else 0.0}

@@ -10,7 +10,9 @@ tree, and trajectories apply it step by step to record the fields.
 
 Depleted pump: the photon-flux-normalized three-wave system, which conserves
 the Manley-Rowe combinations exactly and reduces to the pair above as the
-signal/pump ratio vanishes; with no closed form, it is integrated by RK4.
+signal/pump ratio vanishes; with no closed form, it is integrated by RK4
+(_rk4) in two shapes: one point on Python complex state, which trajectories
+and short sweeps take, and numpy arrays of all the ratios of a long sweep.
 """
 
 import cmath
@@ -23,6 +25,7 @@ from .trajectory import MismatchProfile
 __all__ = [
     "PropagationError", "FieldState", "FieldTrajectory",
     "simulate_undepleted", "simulate_depleted", "undepleted_efficiencies",
+    "depleted_efficiencies",
     "lz_linear_chirp", "constant_mismatch",
 ]
 
@@ -187,6 +190,39 @@ def undepleted_efficiencies(z, phi, coupling):
     return eta
 
 
+def _depleted_cells(z, phi, kt, sub):
+    """(K, D) = (-i kt h, -i d h) of each profile cell: its RK4 step h, sub
+    per cell, and its constant mismatch d."""
+    return [(-1j * kt * (z[j + 1] - z[j]) / sub, -1j * (phi[j + 1] - phi[j]) / sub)
+            for j in range(len(z) - 1)]
+
+
+def _rk4(cells, sub, a1, a2, c3):
+    """Advance the co-rotating depleted state (a1, a2, c3) by sub RK4 steps in
+    each of cells, (K, D) pairs from _depleted_cells. The arithmetic holds
+    for Python complex (one point) and numpy arrays (a batch, advanced in
+    place) alike."""
+    for K, D in cells:
+        Kh, Dh = 0.5 * K, 0.5 * D  # half steps
+        for _ in range(sub):
+            s = Kh * c3
+            h1a, h1b, h1c = s * a2.conjugate(), s * a1.conjugate(), Kh * a1 * a2 + Dh * c3
+            t1, t2, t3 = a1 + h1a, a2 + h1b, c3 + h1c
+            s = Kh * t3
+            h2a, h2b, h2c = s * t2.conjugate(), s * t1.conjugate(), Kh * t1 * t2 + Dh * t3
+            t1, t2, t3 = a1 + h2a, a2 + h2b, c3 + h2c
+            s = K * t3
+            k3a, k3b, k3c = s * t2.conjugate(), s * t1.conjugate(), K * t1 * t2 + D * t3
+            t1, t2, t3 = a1 + k3a, a2 + k3b, c3 + k3c
+            s = K * t3
+            k4a, k4b, k4c = s * t2.conjugate(), s * t1.conjugate(), K * t1 * t2 + D * t3
+            # h + h is 2h exactly, and cheaper than 2.0 * h on both shapes
+            a1 += (h1a + (h2a + h2a) + k3a) / 3.0 + k4a / 6.0
+            a2 += (h1b + (h2b + h2b) + k3b) / 3.0 + k4b / 6.0
+            c3 += (h1c + (h2c + h2c) + k3c) / 3.0 + k4c / 6.0
+    return a1, a2, c3
+
+
 def simulate_depleted(mismatch, kappa, steps=20000, initial=None,
                       record_stride=None):
     """Integrate the flux-normalized three-wave system with pump depletion,
@@ -201,8 +237,10 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None,
     phi is linear between profile nodes, so in the co-rotating frame
     c3 = a3 e^{-i phi} each cell is autonomous, c3' = -i kt a1 a2 - i d c3
     with the cell's constant mismatch d (an integrating factor; Lawson, SIAM
-    J. Numer. Anal. 4, 372, 1967). RK4 takes ceil(steps / cells) equal steps
-    per cell, at least steps in all; record_stride counts these steps.
+    J. Numer. Anal. 4, 372, 1967). RK4 (_rk4) takes ceil(steps / cells) equal
+    steps per cell, at least steps in all; record_stride counts these steps.
+    The integration stops at each recorded step and resumes from it, so the
+    stride never changes the fields.
     """
     if initial is None or initial.a2 is None:
         raise PropagationError("depleted mode needs an explicit pump amplitude a2")
@@ -211,33 +249,63 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None,
     z, phi, sub, total, record_stride = _plan(mismatch, kappa, steps, record_stride)
 
     kt = float(kappa / abs(initial.a2) if initial.a2 else kappa)
+    cells = _depleted_cells(z, phi, kt, sub)
     # Python complex throughout: one numpy scalar in the state triples the cost
-    a1, a2 = complex(initial.a1), complex(initial.a2)
-    c3 = complex(initial.a3) * cmath.exp(-1j * phi[0])
-    rec = [(z[0], complex(initial.a3), a1, a2)]
-    for j in range(len(z) - 1):
-        # K = -i kt h and D = -i d h of the cell's step h; Kh, Dh give half steps
-        K, D = -1j * kt * (z[j + 1] - z[j]) / sub, -1j * (phi[j + 1] - phi[j]) / sub
-        Kh, Dh = 0.5 * K, 0.5 * D
-        for n in range(j * sub + 1, j * sub + sub + 1):
-            s = Kh * c3
-            h1a, h1b, h1c = s * a2.conjugate(), s * a1.conjugate(), Kh * a1 * a2 + Dh * c3
-            t1, t2, t3 = a1 + h1a, a2 + h1b, c3 + h1c
-            s = Kh * t3
-            h2a, h2b, h2c = s * t2.conjugate(), s * t1.conjugate(), Kh * t1 * t2 + Dh * t3
-            t1, t2, t3 = a1 + h2a, a2 + h2b, c3 + h2c
-            s = K * t3
-            k3a, k3b, k3c = s * t2.conjugate(), s * t1.conjugate(), K * t1 * t2 + D * t3
-            t1, t2, t3 = a1 + k3a, a2 + k3b, c3 + k3c
-            s = K * t3
-            k4a, k4b, k4c = s * t2.conjugate(), s * t1.conjugate(), K * t1 * t2 + D * t3
-            a1 += (h1a + 2.0 * h2a + k3a) / 3.0 + k4a / 6.0
-            a2 += (h1b + 2.0 * h2b + k3b) / 3.0 + k4b / 6.0
-            c3 += (h1c + 2.0 * h2c + k3c) / 3.0 + k4c / 6.0
-            if n % record_stride == 0 or n == total:
-                rec.append(_lab_frame(z, phi, j, n - j * sub, sub, c3) + (a1, a2))
+    state = (complex(initial.a1), complex(initial.a2),
+             complex(initial.a3) * cmath.exp(-1j * phi[0]))
+    rec = [(z[0], complex(initial.a3)) + state[:2]]
+    n = 0
+    for m in [*range(record_stride, total, record_stride), total]:
+        while n < m:  # steps n+1 .. m: the rest of a cell, or whole cells
+            j, k = divmod(n, sub)
+            if k or m - n < sub:
+                take = min(sub - k, m - n)
+                state = _rk4(cells[j:j + 1], take, *state)
+            else:
+                take = (m - n) // sub * sub
+                state = _rk4(cells[j:j + take // sub], sub, *state)
+            n += take
+        j = (m - 1) // sub
+        rec.append(_lab_frame(z, phi, j, m - j * sub, sub, state[2]) + state[:2])
 
     rz, r3, r1, r2 = (np.array(col) for col in zip(*rec))
-    eta = 0.0 if abs(initial.a1) == 0 else abs(c3) ** 2 / abs(initial.a1) ** 2
+    eta = 0.0 if abs(initial.a1) == 0 else abs(state[2]) ** 2 / abs(initial.a1) ** 2
     return FieldTrajectory(z=rz, a1=r1, a3=r3, a2=r2, efficiency=float(eta),
                            steps=total)
+
+
+# Ratios from which depleted_efficiencies integrates a sweep on arrays. A
+# batched RK4 step is some 70 numpy calls whatever the batch size, and costs
+# about as much as 17-20 scalar steps (measured in DECISIONS.md).
+_BATCH_POINTS = 20
+# Ratios per batched pass: 16 kB per complex temporary whatever the sweep's
+# size, below the 256 kB at which numpy would reuse a temporary in place.
+_BATCH_BLOCK = 1024
+
+
+def depleted_efficiencies(mismatch, kappa, ratios, steps=20000):
+    """Depleted-pump efficiencies |a3(L)|^2 / r^2 of the signal/pump flux
+    amplitude ratios r, each launched as (a1, a2, a3) = (r, 1, 0) and
+    integrated by simulate_depleted's RK4, whose cell constants are built once.
+    Below _BATCH_POINTS ratios each runs alone on Python complex state,
+    bit-identical to simulate_depleted. From _BATCH_POINTS on they run
+    together on arrays, _BATCH_BLOCK at a time: within 2e-15 of the scalar
+    runs, and a ratio's result is bit-identical in any batch or order."""
+    ratios = np.atleast_1d(np.asarray(ratios, dtype=float))
+    if not np.all(np.isfinite(ratios)):
+        raise PropagationError("non-finite signal/pump ratios")
+    z, phi, sub, _, _ = _plan(mismatch, kappa, steps, None)
+    cells = _depleted_cells(z, phi, float(kappa), sub)
+    c3 = 0j * cmath.exp(-1j * phi[0])
+    if ratios.size < _BATCH_POINTS:
+        ends = [_rk4(cells, sub, complex(r), 1.0 + 0j, c3)[2] for r in ratios.tolist()]
+    else:
+        ends = []
+        for s in range(0, ratios.size, _BATCH_BLOCK):
+            r = ratios[s:s + _BATCH_BLOCK]
+            ends += _rk4(cells, sub, r.astype(complex), np.full(r.shape, 1.0 + 0j),
+                         np.full(r.shape, c3))[2].tolist()
+    # in Python, as simulate_depleted forms it: numpy's vector abs may round
+    # differently
+    return np.array([0.0 if r == 0 else abs(c) ** 2 / abs(r) ** 2
+                     for r, c in zip(ratios.tolist(), ends)])

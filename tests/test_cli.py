@@ -352,6 +352,23 @@ def test_bad_sweep_block_names_key(tmp_path, capsys, sweep, block, named):
         assert err.startswith("error: ") and named in err
 
 
+def test_bad_sweep_block_under_design_file_names_key(tmp_path, capsys):
+    # under --design the bandwidth window is checked against the design
+    # file's pump wavelength, before any output directory is made
+    design_cfg = write_config(tmp_path, {"design": {"lambda2_um": 0.9}}, name="d.json")
+    assert main(["design", "--config", design_cfg, "--out", str(tmp_path / "d")]) == 0
+    window = {"lambda_min_um": 1.0, "lambda_max_um": 3.6, "samples": 5}
+    cfg = write_config(tmp_path, {"sweeps": {"bandwidth": window}})
+    assert main(["sweep", "bandwidth", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o2"
+    assert main(["sweep", "bandwidth", "--config", cfg, "--out", str(out),
+                 "--design", str(tmp_path / "d" / "design.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sweeps.bandwidth.lambda_min_um" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("block,named", [
     ({"design": {"L_mm": float("nan")}}, "design.L_mm"),
     ({"design": {"L_mm": -1.0}}, "design.L_mm"),

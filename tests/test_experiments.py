@@ -182,6 +182,9 @@ def test_signal_sweep(design_dk):
     assert np.all(np.diff(tail) < 1e-3)
     with pytest.raises(ValueError):
         signal_intensity_sweep(design_dk, ratio_min=0.0)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            signal_intensity_sweep(design_dk, samples=samples)
 
 
 def test_efficiency_vs_length_flatness():

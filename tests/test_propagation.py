@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from qasfg.cli import main
-from qasfg.experiments import LAB_FRAME_COUPLING, assemble_design, simulate_design
+from qasfg import propagation
+from qasfg.experiments import (LAB_FRAME_COUPLING, assemble_design, signal_intensity_sweep,
+                               simulate_design)
 from qasfg.propagation import (
-    _pass_points, FieldState, PropagationError, constant_mismatch, lz_linear_chirp,
-    simulate_depleted, simulate_undepleted, undepleted_efficiencies,
+    _BATCH_POINTS, _pass_points, FieldState, PropagationError, constant_mismatch,
+    depleted_efficiencies, lz_linear_chirp, simulate_depleted, simulate_undepleted,
+    undepleted_efficiencies,
 )
 from qasfg.trajectory import TrajectorySpec, angle_profiles, delta_k_profile
 
@@ -270,6 +273,73 @@ def test_depleted_matches_solve_ivp(design_dk, ratio):
     assert np.array_equal(traj.z, z[::2])
     for got, ref in ((traj.a1, a1), (traj.a2, a2), (traj.a3, a3)):
         assert np.abs(got - ref[::2]).max() <= 1e-10
+
+
+def test_depleted_recording_never_changes_the_fields(design_dk):
+    # the recorder stops the integration at every recorded step (also inside
+    # a cell: 5 steps per cell here) and resumes it bit-identically
+    coupling = LAB_FRAME_COUPLING * design_dk.kappa
+    runs = {stride: simulate_depleted(design_dk.mismatch, coupling, steps=20000,
+                                      initial=FieldState(0.8, 0.0, 1.0),
+                                      record_stride=stride)
+            for stride in (3, 5, 10, 20000)}
+    end = runs[20000]
+    assert end.z.size == 2
+    for stride, traj in runs.items():
+        assert traj.z.size == -(-20000 // stride) + 1
+        assert traj.efficiency == end.efficiency
+        for got, ref in ((traj.a1, end.a1), (traj.a2, end.a2), (traj.a3, end.a3)):
+            assert got[-1] == ref[-1]
+    for f in ("z", "a1", "a2", "a3"):
+        assert np.array_equal(getattr(runs[10], f), getattr(runs[5], f)[::2])
+
+
+@pytest.mark.parametrize("design", ["design_dk", "design_k"])
+def test_batched_sweep_matches_simulate_depleted(design, request):
+    # below _BATCH_POINTS ratios a sweep runs each one alone, bit-identical to
+    # simulate_depleted; from there on, together on arrays, within rounding
+    design = request.getfixturevalue(design)
+    coupling = LAB_FRAME_COUPLING * design.kappa
+    for samples in (_BATCH_POINTS - 1, _BATCH_POINTS, 41):
+        result = signal_intensity_sweep(design, ratio_min=0.01, ratio_max=1.2,
+                                        samples=samples, steps=4000)
+        ratios, etas = result.values, result.efficiencies
+        alone = np.array([simulate_depleted(
+            design.mismatch, coupling, steps=4000, record_stride=4000,
+            initial=FieldState(r, 0.0, 1.0)).efficiency for r in ratios])
+        if samples < _BATCH_POINTS:
+            assert np.array_equal(etas, alone)
+        assert np.abs(etas - alone).max() <= 1e-14
+        # no more signal photons converted than there are pump photons
+        assert np.all(etas * ratios ** 2 <= 1.0 + 1e-12)
+
+
+def test_batched_efficiencies_batch_independent(design_dk, monkeypatch):
+    # a ratio's batched result does not depend on its batch or its place in it
+    m, coupling = design_dk.mismatch, LAB_FRAME_COUPLING * design_dk.kappa
+    ratios = np.linspace(0.05, 1.2, 41)
+    batch = depleted_efficiencies(m, coupling, ratios, steps=4000)
+    assert np.array_equal(depleted_efficiencies(m, coupling, ratios[::-1], steps=4000),
+                          batch[::-1])
+    monkeypatch.setattr(propagation, "_BATCH_POINTS", 1)
+    for i in (0, 20, 40):
+        assert np.array_equal(depleted_efficiencies(m, coupling, ratios[i:i + 1], steps=4000),
+                              batch[i:i + 1])
+
+
+def test_depleted_efficiencies_edge_cases(monkeypatch):
+    profile = constant_mismatch(0.0, L, grid_n=11)
+    for batch_points in (_BATCH_POINTS, 1):
+        monkeypatch.setattr(propagation, "_BATCH_POINTS", batch_points)
+        eta = depleted_efficiencies(profile, 1.3 / L, [0.0, 0.5], steps=100)
+        assert eta[0] == 0.0 and 0.0 < eta[1] < 1.0
+        with pytest.raises(PropagationError, match="non-finite"):
+            depleted_efficiencies(profile, 1.3 / L, [0.5, np.nan], steps=100)
+    # a sweep longer than one batched pass is split without changing a bit
+    ratios = np.linspace(0.1, 1.2, 7)
+    whole = depleted_efficiencies(profile, 1.3 / L, ratios, steps=100)
+    monkeypatch.setattr(propagation, "_BATCH_BLOCK", 3)
+    assert np.array_equal(depleted_efficiencies(profile, 1.3 / L, ratios, steps=100), whole)
 
 
 def test_trajectory_csv(tmp_path, design_dk):
