@@ -143,12 +143,11 @@ def bandwidth_sweep(design, lam_min=2.6e-6, lam_max=3.6e-6, samples=201,
     it takes no steps: steps and workers are accepted and ignored.
     """
     z, phi0 = design.mismatch.z, design.mismatch.phi
-    dkm0 = design.triplet.material_mismatch
     lams = np.linspace(lam_min, lam_max, samples)
-    trips = [make_wave_triplet(lam, design.triplet.lam2, design.model) for lam in lams]
-    offsets = np.array([trip.material_mismatch - dkm0 for trip in trips])
-    couplings = LAB_FRAME_COUPLING * np.array([coupling_coefficient(
-        design.pump_amplitude, trip, design.nonlinear) for trip in trips])
+    trips = make_wave_triplet(lams, design.triplet.lam2, design.model)  # arrays
+    offsets = trips.material_mismatch - design.triplet.material_mismatch
+    couplings = LAB_FRAME_COUPLING * coupling_coefficient(
+        design.pump_amplitude, trips, design.nonlinear)
     etas = undepleted_efficiencies(z, phi0 + offsets[:, None] * z, couplings)
     lo, hi, width, truncated = fwhm_interval(lams, etas)
     summary = {

@@ -5,8 +5,8 @@ Undepleted pump: the linear pair
     dA1/dz = -i kappa A3 e^{-i phi(z)},   dA3/dz = -i kappa A1 e^{+i phi(z)}
 with phi(z) the profile's accumulated mismatch phase, linear between nodes
 (never dk*z, which is wrong for chirped profiles). Every profile cell is an
-exact SU(2) rotation (_rotations): sweeps multiply whole cells in a pairwise
-tree, and trajectories apply it step by step to record the fields.
+exact SU(2) rotation (_rotations): a sweep's points go through one batched
+pairwise tree, and trajectories apply it step by step to record the fields.
 
 Depleted pump: the photon-flux-normalized three-wave system, which conserves
 the Manley-Rowe combinations exactly and reduces to the pair above as the
@@ -103,14 +103,16 @@ def _lab_frame(z, phi, j, k, sub, c3):
 
 
 def _rotations(k, d, h):
-    """(a, b) of [[a, b], [-b*, a*]], b imaginary so -b* = b: the exact
-    propagator cos(W h) + i sin(W h)/W [[d/2, -k], [-k, -d/2]], W^2 = k^2 +
-    d^2/4, of cells of width h, mismatch d and pair coupling k in the frame
+    """(a, beta) of [[a, i beta], [i beta, a*]], built without mixed loops: the
+    exact propagator cos(W h) + i sin(W h)/W [[d/2, -k], [-k, -d/2]], W^2 = k^2
+    + d^2/4, of cells of width h, mismatch d and pair coupling k in the frame
     (A1 e^{i phi/2}, A3 e^{-i phi/2}) (Suchowski et al., PRA 78, 063821, 2008)."""
     w = np.sqrt(k * k + 0.25 * d * d)
     wh = w * h
     sw = np.divide(np.sin(wh), w, out=h.copy(), where=w > 0)  # -> h as W -> 0
-    return np.cos(wh) + 0.5j * sw * d, -1j * sw * k
+    a = np.cos(wh).astype(complex)
+    a.imag = 0.5 * sw * d
+    return a, -sw * k
 
 
 def simulate_undepleted(mismatch, kappa, steps=20000, initial=None,
@@ -120,9 +122,10 @@ def simulate_undepleted(mismatch, kappa, steps=20000, initial=None,
     kappa is the per-wave coupling rate of the pair as written above. In the
     co-rotating frame c3 = a3 e^{-i phi} a cell with mismatch d is autonomous,
     a1' = -i kappa c3, c3' = -i kappa a1 - i d c3, and a step h of it is
-    S = e [[a, b], [b, a*]] on (a1, c3), e = e^{-i d h/2} and (a, b) from
-    _rotations. It is applied as 1 + (S - 1), with a - 1 and e - 1 taken from
-    1 - cos x = sin^2 x / (1 + cos x), so that rounding scales with the step.
+    S = e [[a, b], [b, a*]] on (a1, c3), e = e^{-i d h/2}, (a, beta) from
+    _rotations and b = i beta + 0.0 (+0 real parts, as a complex b had). It is
+    applied as 1 + (S - 1), with a - 1 and e - 1 from 1 - cos x = sin^2 x /
+    (1 + cos x), so that rounding scales with the step.
     steps and record_stride, as in simulate_depleted, set only the recording.
     """
     if initial is None:
@@ -131,11 +134,11 @@ def simulate_undepleted(mismatch, kappa, steps=20000, initial=None,
 
     h = np.diff(mismatch.z) / sub
     d = np.diff(mismatch.phi) / np.diff(mismatch.z)
-    a, b = _rotations(float(kappa), d, h)
+    a, beta = _rotations(float(kappa), d, h)
     e = np.exp(-0.5j * d * h)
-    am1 = 1j * a.imag - (a.imag ** 2 + b.imag ** 2) / (1.0 + a.real)
+    am1 = 1j * a.imag - (a.imag ** 2 + beta ** 2) / (1.0 + a.real)
     em1 = 1j * e.imag - e.imag ** 2 / (1.0 + e.real)
-    cells = zip((em1 * a + am1).tolist(), (e * b).tolist(),
+    cells = zip((em1 * a + am1).tolist(), (e * (1j * beta + 0.0)).tolist(),
                 (em1 * a.conj() + am1.conj()).tolist())
     a1, c3 = complex(initial.a1), complex(initial.a3) * cmath.exp(-1j * phi[0])
     rec = [(z[0], complex(initial.a3), a1)]
@@ -158,35 +161,59 @@ def simulate_undepleted(mismatch, kappa, steps=20000, initial=None,
 # 256 kB at which numpy reuses it in place, which would swap the operands of
 # its complex product and their FMA rounding (DECISIONS.md).
 _PASS_POINT_CELLS = 1 << 14
+# Passes stop at _TAIL_CELLS; tail row groups: 64 x 128 complex = 128 kB < 256 kB.
+_TAIL_CELLS = 1 << 8
+_TAIL_POINTS = _PASS_POINT_CELLS // _TAIL_CELLS
 
 
 def _pass_points(cells):
-    """Points per pass of undepleted_efficiencies on profiles of this many
-    cells: 4 at 4001 nodes, 16 at 1001, at least 1."""
+    """Points per pass of undepleted_efficiencies: 4 at 4001 nodes, 16 at 1001."""
     return max(1, _PASS_POINT_CELLS // cells)
+
+
+def _levels(a, b, cells):
+    """Pairwise-tree levels down to cells cells, an odd last cell carried up."""
+    while a.shape[1] > cells:
+        n = a.shape[1] // 2 * 2
+        a1, b1, a2, b2 = a[:, 0:n:2], b[:, 0:n:2], a[:, 1:n:2], b[:, 1:n:2]
+        a, b = (np.concatenate([a2 * a1 - b2 * b1.conj(), a[:, n:]], axis=1),
+                np.concatenate([a2 * b1 + b2 * a1.conj(), b[:, n:]], axis=1))
+    return a, b
+
+
+def _first_level(a, beta):
+    """The first of _levels on _rotations cells (a, i beta), in real arithmetic:
+    every term it drops holds b's zero real part, so it rounds as _levels."""
+    n = a.shape[1] // 2 * 2
+    a1, b1, a2, b2 = a[:, 0:n:2], beta[:, 0:n:2], a[:, 1:n:2], beta[:, 1:n:2]
+    top, b = a2 * a1, np.zeros((len(a), a.shape[1] - n // 2), dtype=complex)
+    top.real -= b2 * b1
+    b.real[:, :n // 2] = b2 * a1.imag - a2.imag * b1
+    b.imag = np.concatenate([a2.real * b1 + b2 * a1.real, beta[:, n:]], axis=1)
+    return np.concatenate([top, a[:, n:]], axis=1), b
 
 
 def undepleted_efficiencies(z, phi, coupling):
     """Exact undepleted |A3(L)|^2, A1(0) = 1, of P points: phi (P, N) on the
-    node grid z, (P, N) or (N,), at the P lab-frame pair couplings, one
-    _rotations matrix per cell multiplied in a pairwise tree, _pass_points
-    points at a time. A point's result is bit-identical in any batch or
-    order."""
+    node grid z, (P, N) or (N,), at the P lab-frame pair couplings: one
+    _rotations matrix per cell, multiplied in a pairwise tree. Passes of
+    _pass_points points stop at _TAIL_CELLS cells, and all P share the last
+    levels. A point's result is bit-identical in any batch or order."""
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     z = np.broadcast_to(np.asarray(z, dtype=float), phi.shape)
     coupling = np.broadcast_to(np.asarray(coupling, dtype=float), phi.shape[:1])
-    eta = np.empty(phi.shape[0])
     step = _pass_points(phi.shape[1] - 1)
-    for s in range(0, len(eta), step):
+    tail = []
+    for s in range(0, phi.shape[0], step):
         h = np.diff(z[s:s + step], axis=1)
         d = np.diff(phi[s:s + step], axis=1) / h
-        a, b = _rotations(coupling[s:s + step, None], d, h)
-        while a.shape[1] > 1:
-            n = a.shape[1] // 2 * 2  # an odd last cell is carried up a level
-            a1, b1, a2, b2 = a[:, 0:n:2], b[:, 0:n:2], a[:, 1:n:2], b[:, 1:n:2]
-            a, b = (np.concatenate([a2 * a1 - b2 * b1.conj(), a[:, n:]], axis=1),
-                    np.concatenate([a2 * b1 + b2 * a1.conj(), b[:, n:]], axis=1))
-        eta[s:s + step] = np.abs(b[:, 0]) ** 2
+        cells = _first_level(*_rotations(coupling[s:s + step, None], d, h))
+        tail.append(_levels(*cells, _TAIL_CELLS))
+    a, b = (np.concatenate(t) for t in zip(*tail))
+    eta = np.empty(phi.shape[0])
+    for s in range(0, len(eta), _TAIL_POINTS):
+        _, last = _levels(a[s:s + _TAIL_POINTS], b[s:s + _TAIL_POINTS], 1)
+        eta[s:s + _TAIL_POINTS] = np.abs(last[:, 0]) ** 2
     return eta
 
 

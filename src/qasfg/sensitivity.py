@@ -119,11 +119,10 @@ def _first_order_estimates(angles, amplitudes, eta_deltak=0.0, eta_kappa=0.0):
     """first_order_efficiency at each error profile amplitudes[i] *
     (eta_deltak, eta_kappa), from its integral at unit amplitude taken once:
     1 - (1/4)|amplitude * integral|^2, clamped to [0, 1]."""
-    phase = np.exp(1j * angles.m)
-    integ = phase * (1j * np.asarray(eta_deltak) * np.sin(angles.theta)
-                     + 2.0 * eta_kappa * angles.theta_dot
-                     * np.sin(angles.theta) ** 2)
-    unit = _simpson(integ, angles.z)
+    sin = np.sin(angles.theta)
+    bracket = (2.0 * eta_kappa * angles.theta_dot * sin ** 2).astype(complex)
+    bracket.imag = np.asarray(eta_deltak) * sin
+    unit = _simpson(np.exp(1j * angles.m) * bracket, angles.z)
     return np.clip(1.0 - 0.25 * np.abs(amplitudes * unit) ** 2, 0.0, 1.0)
 
 

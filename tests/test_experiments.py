@@ -10,7 +10,9 @@ from qasfg.experiments import (
     robustness_period_sweep, robustness_pump_sweep, signal_intensity_sweep,
     simulate_design, tolerance_interval,
 )
-from qasfg.materials import coupling_coefficient
+from qasfg.materials import (SELLMEIER_SETS, DispersionModel, MaterialError,
+                             NonlinearConstants, coupling_coefficient,
+                             make_wave_triplet)
 from qasfg.propagation import lz_linear_chirp, simulate_undepleted
 from qasfg.sensitivity import eta_from_period_error, first_order_efficiency
 from qasfg.trajectory import (TrajectorySpec, angle_profiles, boundary_check,
@@ -115,6 +117,29 @@ def test_bandwidth_sweep_smoke(design_dk):
     assert 2.9 < result.summary["peak_lambda1_um"] < 3.1
     assert 250.0 < result.summary["fwhm_nm"] < 550.0
     assert not result.summary["fwhm_truncated_by_range"]
+
+
+def test_bandwidth_triplet_of_an_array_is_the_per_wavelength_triplets(design_dk):
+    # bandwidth_sweep builds one triplet from its array of signal wavelengths;
+    # each of its values is the one-wavelength triplet's to the bit
+    lams = np.linspace(2.6e-6, 3.6e-6, 201)
+    nl = NonlinearConstants()
+
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    for name in sorted(SELLMEIER_SETS):
+        for temperature in (25.0, 60.0):
+            model = DispersionModel.from_name(name, temperature)
+            trips = make_wave_triplet(lams, 1.064e-6, model)
+            alone = [make_wave_triplet(lam, 1.064e-6, model) for lam in lams]
+            for attr in ("n1", "n3", "material_mismatch"):
+                assert np.array_equal(bits(getattr(trips, attr)),
+                                      bits([getattr(t, attr) for t in alone]))
+            assert np.array_equal(bits(coupling_coefficient(4e7, trips, nl)),
+                                  bits([coupling_coefficient(4e7, t, nl) for t in alone]))
+    with pytest.raises(MaterialError):
+        bandwidth_sweep(design_dk, lam_min=3.5e-6, lam_max=4.2e-6, samples=9)
 
 
 def test_period_sweep_center_and_asymmetry(design_dk):

@@ -9,7 +9,7 @@ from qasfg import propagation
 from qasfg.experiments import (LAB_FRAME_COUPLING, assemble_design, signal_intensity_sweep,
                                simulate_design)
 from qasfg.propagation import (
-    _BATCH_POINTS, _pass_points, FieldState, PropagationError, constant_mismatch,
+    _BATCH_POINTS, _TAIL_POINTS, _pass_points, FieldState, PropagationError, constant_mismatch,
     depleted_efficiencies, lz_linear_chirp, simulate_depleted, simulate_undepleted,
     undepleted_efficiencies,
 )
@@ -146,24 +146,85 @@ def test_recorder_matches_exact_propagator(case, design_dk):
 
 def test_exact_propagator_batch_independent(design_dk):
     # a point's eta is the same to the bit alone, in any order, and on
-    # either side of a pass boundary: 4, 16 and 3 points per pass
-    for grid_n in (4001, 1001, 5001):
-        m = assemble_design(design_dk.kappa, design_dk.length, "deltak",
-                            grid_n=grid_n).mismatch
-        points = 2 * _pass_points(grid_n - 1) + 3
+    # either side of a pass boundary (4, 16, 3, 63 and 31 points per pass)
+    # and of a tail row group. At 4001, 1001 and 258 nodes these points in
+    # one row group would make a tail temporary pass the 256 kB at which
+    # numpy reuses it in place and swaps a product's operands. At 5001, 258
+    # and 514 nodes the passes hand an odd cell count (157, 129, 129) to the
+    # tail. Design grids are odd, so the even ones interpolate the phase.
+    base = design_dk.mismatch
+    for grid_n in (4001, 1001, 5001, 258, 514):
+        if grid_n % 2:
+            m = assemble_design(design_dk.kappa, design_dk.length, "deltak",
+                                grid_n=grid_n).mismatch
+            z, phi0 = m.z, m.phi
+        else:
+            z = np.linspace(0.0, base.length, grid_n)
+            phi0 = np.interp(z, base.z, base.phi)
+        points = 2 * _TAIL_POINTS + 2 * _pass_points(grid_n - 1) + 3
         scales = 1.0 / (1.0 + np.linspace(-0.05, 0.05, points))
-        phi = 1e3 * m.z * (1.0 - scales[:, None]) + m.phi * scales[:, None]
+        phi = 1e3 * z * (1.0 - scales[:, None]) + phi0 * scales[:, None]
         couplings = 0.5 * design_dk.kappa * np.linspace(0.9, 1.1, points)
-        batch = undepleted_efficiencies(m.z, phi, couplings)
-        alone = [undepleted_efficiencies(m.z, phi[i], couplings[i])[0]
+        batch = undepleted_efficiencies(z, phi, couplings)
+        alone = [undepleted_efficiencies(z, phi[i], couplings[i])[0]
                  for i in range(points)]
         assert np.array_equal(batch, alone)
         order = np.random.default_rng(7).permutation(points)
-        assert np.array_equal(undepleted_efficiencies(m.z, phi[order], couplings[order]),
+        assert np.array_equal(undepleted_efficiencies(z, phi[order], couplings[order]),
                               batch[order])
-        shifted = undepleted_efficiencies(np.tile(m.z, (points - 5, 1)), phi[5:],
+        shifted = undepleted_efficiencies(np.tile(z, (points - 5, 1)), phi[5:],
                                           couplings[5:])
         assert np.array_equal(shifted, batch[5:])
+
+
+def _reference_cells(k, d, h):
+    """The cells as first written, with mixed real-complex products:
+    (a, b) of [[a, b], [b, a*]] with b = i beta."""
+    w = np.sqrt(k * k + 0.25 * d * d)
+    wh = w * h
+    sw = np.divide(np.sin(wh), w, out=h.copy(), where=w > 0)
+    return np.cos(wh) + 0.5j * sw * d, -1j * sw * k
+
+
+def _reference_efficiencies(z, phi, coupling):
+    """The pairwise tree as first written: complex cells and every level
+    on complex arrays, down to one cell, one point at a time."""
+    eta = []
+    for zi, phii, k in zip(z, phi, coupling):
+        h = np.diff(zi)[None]
+        a, b = _reference_cells(k, np.diff(phii)[None] / h, h)
+        while a.shape[1] > 1:
+            n = a.shape[1] // 2 * 2
+            a1, b1, a2, b2 = a[:, 0:n:2], b[:, 0:n:2], a[:, 1:n:2], b[:, 1:n:2]
+            a, b = (np.concatenate([a2 * a1 - b2 * b1.conj(), a[:, n:]], axis=1),
+                    np.concatenate([a2 * b1 + b2 * a1.conj(), b[:, n:]], axis=1))
+        eta.append(np.abs(b[0, 0]) ** 2)
+    return np.array(eta)
+
+
+def test_exact_propagator_matches_complex_tree_bitwise():
+    # real-form cells, a real-arithmetic first level and the shared tail
+    # round exactly as complex cells multiplied level by level: random cell
+    # widths, mismatches and couplings, with zero-mismatch cells and zero
+    # couplings, on grids with odd carries in the passes and in the tail
+    rng = np.random.default_rng(11)
+    for grid_n in (2, 3, 8, 258, 514, 4001):
+        points = 9
+        z = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, grid_n - 1))]) * 1e-6
+        z = np.broadcast_to(z, (points, grid_n))
+        phi = np.cumsum(rng.uniform(-3e5, 3e5, (points, grid_n)), axis=1) * 1e-6
+        phi[:, grid_n // 2:grid_n // 2 + 2] = phi[:, grid_n // 2 - 1, None]  # d = 0
+        coupling = rng.uniform(0.0, 4e4, points)
+        coupling[:2] = 0.0
+        ref = _reference_efficiencies(z, phi, coupling)
+        assert np.array_equal(undepleted_efficiencies(z, phi, coupling).view(np.uint64),
+                              ref.view(np.uint64))
+        h = np.diff(z, axis=1)
+        d = np.diff(phi, axis=1) / h
+        a, beta = propagation._rotations(coupling[:, None], d, h)
+        ref_a, ref_b = _reference_cells(coupling[:, None], d, h)
+        assert np.array_equal(a, ref_a) and np.array_equal(beta, ref_b.imag)
+        assert not ref_b.real.any()
 
 
 def _sequential_product_eta(z, phi, coupling):
