@@ -2,6 +2,7 @@
 and signal-depletion experiments.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,10 +260,15 @@ def signal_intensity_sweep(design, ratio_min=0.01, ratio_max=1.0, samples=41,
     """Depleted-pump efficiency vs signal/pump flux-amplitude ratio, by
     depleted_efficiencies: simulate_depleted's RK4 on each point alone in a
     short sweep, on arrays of all points in a long one; workers is ignored."""
-    if ratio_min <= 0.0:
-        raise ValueError("ratio_min must be positive (zero signal has no efficiency)")
+    if not 0.0 < ratio_min < math.inf:
+        raise ValueError("ratio_min must be positive and finite (zero signal has no "
+                         f"efficiency), got {ratio_min!r}")
+    if not math.isfinite(ratio_max):
+        raise ValueError(f"ratio_max must be finite, got {ratio_max!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
+    if samples > 1 and ratio_max <= ratio_min:
+        raise ValueError(f"need ratio_min < ratio_max, got {ratio_min!r} and {ratio_max!r}")
     ratios = np.linspace(ratio_min, ratio_max, samples)
     etas = depleted_efficiencies(design.mismatch, LAB_FRAME_COUPLING * design.kappa,
                                  ratios, steps=steps)

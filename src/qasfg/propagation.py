@@ -10,9 +10,10 @@ pairwise tree, and trajectories apply it step by step to record the fields.
 
 Depleted pump: the photon-flux-normalized three-wave system, which conserves
 the Manley-Rowe combinations exactly and reduces to the pair above as the
-signal/pump ratio vanishes; with no closed form, it is integrated by RK4
-(_rk4) in two shapes: one point on Python complex state, which trajectories
-and short sweeps take, and numpy arrays of all the ratios of a long sweep.
+signal/pump ratio vanishes; with no closed form, it is integrated by one
+RK4 scheme in two kernels: _rk4 on one point's Python complex state, which
+trajectories and short sweeps take, and _rk4_stacked on a (3, P) array of
+all the ratios of a long sweep.
 """
 
 import cmath
@@ -225,10 +226,8 @@ def _depleted_cells(z, phi, kt, sub):
 
 
 def _rk4(cells, sub, a1, a2, c3):
-    """Advance the co-rotating depleted state (a1, a2, c3) by sub RK4 steps in
-    each of cells, (K, D) pairs from _depleted_cells. The arithmetic holds
-    for Python complex (one point) and numpy arrays (a batch, advanced in
-    place) alike."""
+    """Advance the co-rotating depleted state (a1, a2, c3), Python complex, by
+    sub RK4 steps in each of cells, (K, D) pairs from _depleted_cells."""
     for K, D in cells:
         Kh, Dh = 0.5 * K, 0.5 * D  # half steps
         for _ in range(sub):
@@ -243,11 +242,70 @@ def _rk4(cells, sub, a1, a2, c3):
             t1, t2, t3 = a1 + k3a, a2 + k3b, c3 + k3c
             s = K * t3
             k4a, k4b, k4c = s * t2.conjugate(), s * t1.conjugate(), K * t1 * t2 + D * t3
-            # h + h is 2h exactly, and cheaper than 2.0 * h on both shapes
+            # h + h is 2h exactly, and cheaper than 2.0 * h
             a1 += (h1a + (h2a + h2a) + k3a) / 3.0 + k4a / 6.0
             a2 += (h1b + (h2b + h2b) + k3b) / 3.0 + k4b / 6.0
             c3 += (h1c + (h2c + h2c) + k3c) / 3.0 + k4c / 6.0
     return a1, a2, c3
+
+
+def _rk4_stacked(cells, sub, X):
+    """_rk4's steps on the states of P points at once: X = [a1, a2, c3], a
+    (3, P) complex array, advanced in place. A stage with state t has the
+    slope f [c3 t2*, c3 t1*, t1 t2 + (D/K) c3], f = Kh, Kh, K or K/6, formed
+    in buffers built once: one conjugate of the reversed rows [t2, t1] and
+    one multiply of [t2*, t1*, D/K] by c3 give all three rows. f and 1/3 are
+    filled arrays, because numpy multiplies two contiguous arrays at about
+    half the cost of an array and a scalar. Every K must be non-zero and
+    every D/K finite."""
+    T, C, tmp = np.empty_like(X), np.empty_like(X), np.empty_like(X[0])
+    F1, F2, F3, F4 = F = np.empty((4,) + X.shape, complex)  # the stages' slopes
+    g1, g2, g3, g4 = F[:, 2]  # their c3 rows
+    fh, fk, f6, third = np.empty((4,) + X.shape, complex)  # Kh, K, K/6 and 1/3
+    third.fill(1.0 / 3.0)
+    conj, mul, add = np.conjugate, np.multiply, np.add
+    (xr, x1, x2, x3), (tr, t1, t2, t3) = ((Y[1::-1], *Y) for Y in (X, T))
+    c12 = C[:2]
+    for K, D in cells:
+        C[2] = D / K
+        fh.fill(0.5 * K)
+        fk.fill(K)
+        f6.fill(K / 6.0)
+        for _ in range(sub):
+            conj(xr, c12)
+            mul(C, x3, F1)
+            mul(x1, x2, tmp)
+            add(g1, tmp, g1)
+            mul(F1, fh, F1)
+            add(X, F1, T)
+
+            conj(tr, c12)
+            mul(C, t3, F2)
+            mul(t1, t2, tmp)
+            add(g2, tmp, g2)
+            mul(F2, fh, F2)
+            add(X, F2, T)
+
+            conj(tr, c12)
+            mul(C, t3, F3)
+            mul(t1, t2, tmp)
+            add(g3, tmp, g3)
+            mul(F3, fk, F3)
+            add(X, F3, T)
+
+            conj(tr, c12)
+            mul(C, t3, F4)
+            mul(t1, t2, tmp)
+            add(g4, tmp, g4)
+            mul(F4, f6, F4)
+            # X += (F1 + 2 F2 + F3) / 3 + F4, with 2 F2 as F2 + F2
+            add(F2, F2, F2)
+            add(F1, F2, F1)
+            add(F1, F3, F1)
+            mul(F1, third, F1)
+            add(F1, F4, F1)
+            add(X, F1, X)
+    return X
 
 
 def simulate_depleted(mismatch, kappa, steps=20000, initial=None,
@@ -302,11 +360,10 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None,
 
 
 # Ratios from which depleted_efficiencies integrates a sweep on arrays. A
-# batched RK4 step is some 70 numpy calls whatever the batch size, and costs
-# about as much as 17-20 scalar steps (measured in DECISIONS.md).
-_BATCH_POINTS = 20
-# Ratios per batched pass: 16 kB per complex temporary whatever the sweep's
-# size, below the 256 kB at which numpy would reuse a temporary in place.
+# stacked RK4 step is 29 numpy calls whatever the batch size, and costs about
+# as much as 8 scalar steps (measured in DECISIONS.md).
+_BATCH_POINTS = 9
+# Ratios per stacked pass: about 600 kB of buffers whatever the sweep's size.
 _BATCH_BLOCK = 1024
 
 
@@ -314,24 +371,29 @@ def depleted_efficiencies(mismatch, kappa, ratios, steps=20000):
     """Depleted-pump efficiencies |a3(L)|^2 / r^2 of the signal/pump flux
     amplitude ratios r, each launched as (a1, a2, a3) = (r, 1, 0) and
     integrated by simulate_depleted's RK4, whose cell constants are built once.
-    Below _BATCH_POINTS ratios each runs alone on Python complex state,
+    Below _BATCH_POINTS ratios each runs alone on Python complex state (_rk4),
     bit-identical to simulate_depleted. From _BATCH_POINTS on they run
-    together on arrays, _BATCH_BLOCK at a time: within 2e-15 of the scalar
-    runs, and a ratio's result is bit-identical in any batch or order."""
+    together on arrays (_rk4_stacked), _BATCH_BLOCK at a time: within 1.5e-15
+    of the scalar runs on the designs measured (DECISIONS.md), and a ratio's
+    result is bit-identical in any batch or order. Where a cell has no finite
+    D/K (zero coupling, a zero-width cell, or a coupling so weak that D/K
+    overflows) every ratio runs alone."""
     ratios = np.atleast_1d(np.asarray(ratios, dtype=float))
     if not np.all(np.isfinite(ratios)):
         raise PropagationError("non-finite signal/pump ratios")
     z, phi, sub, _, _ = _plan(mismatch, kappa, steps, None)
     cells = _depleted_cells(z, phi, float(kappa), sub)
     c3 = 0j * cmath.exp(-1j * phi[0])
-    if ratios.size < _BATCH_POINTS:
+    if ratios.size < _BATCH_POINTS or not all(K and cmath.isfinite(D / K)
+                                              for K, D in cells):
         ends = [_rk4(cells, sub, complex(r), 1.0 + 0j, c3)[2] for r in ratios.tolist()]
     else:
         ends = []
         for s in range(0, ratios.size, _BATCH_BLOCK):
             r = ratios[s:s + _BATCH_BLOCK]
-            ends += _rk4(cells, sub, r.astype(complex), np.full(r.shape, 1.0 + 0j),
-                         np.full(r.shape, c3))[2].tolist()
+            X = np.array([r.astype(complex), np.full(r.shape, 1.0 + 0j),
+                          np.full(r.shape, c3)])
+            ends += _rk4_stacked(cells, sub, X)[2].tolist()
     # in Python, as simulate_depleted forms it: numpy's vector abs may round
     # differently
     return np.array([0.0 if r == 0 else abs(c) ** 2 / abs(r) ** 2

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,28 @@ def test_signal_sweep(design_dk):
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples"):
             signal_intensity_sweep(design_dk, samples=samples)
+
+
+@pytest.mark.parametrize("window,named", [
+    ({"ratio_min": 0.5, "ratio_max": 0.1}, "ratio_min < ratio_max"),
+    ({"ratio_min": 0.5, "ratio_max": 0.5}, "ratio_min < ratio_max"),
+    ({"ratio_max": np.inf}, "ratio_max"),
+    ({"ratio_max": np.nan}, "ratio_max"),
+    ({"ratio_min": np.inf}, "ratio_min"),
+])
+def test_signal_sweep_rejects_bad_window_first(design_dk, monkeypatch, window, named):
+    # a bad window fails naming its key, before any integration or numpy warning
+    monkeypatch.setattr("qasfg.experiments.depleted_efficiencies", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=named):
+            signal_intensity_sweep(design_dk, samples=5, **window)
+
+
+def test_signal_sweep_single_sample_ignores_ratio_max(design_dk):
+    one = signal_intensity_sweep(design_dk, ratio_min=0.5, ratio_max=0.1, samples=1,
+                                 steps=STEPS)
+    assert one.values.tolist() == [0.5]
 
 
 def test_efficiency_vs_length_flatness():

@@ -13,7 +13,7 @@ from qasfg.propagation import (
     depleted_efficiencies, lz_linear_chirp, simulate_depleted, simulate_undepleted,
     undepleted_efficiencies,
 )
-from qasfg.trajectory import TrajectorySpec, angle_profiles, delta_k_profile
+from qasfg.trajectory import MismatchProfile, TrajectorySpec, angle_profiles, delta_k_profile
 
 L = 1e-3
 
@@ -401,6 +401,40 @@ def test_depleted_efficiencies_edge_cases(monkeypatch):
     whole = depleted_efficiencies(profile, 1.3 / L, ratios, steps=100)
     monkeypatch.setattr(propagation, "_BATCH_BLOCK", 3)
     assert np.array_equal(depleted_efficiencies(profile, 1.3 / L, ratios, steps=100), whole)
+
+
+def test_depleted_efficiencies_zero_coupling_and_zero_ratio(design_dk, monkeypatch):
+    # zero coupling converts nothing on either path; a zero ratio inside a
+    # batch reads 0 and leaves its neighbours' results unchanged
+    m, coupling = design_dk.mismatch, LAB_FRAME_COUPLING * design_dk.kappa
+    ratios = np.linspace(0.0, 1.2, 13)
+    for batch_points in (_BATCH_POINTS, 1, 10 ** 6):
+        monkeypatch.setattr(propagation, "_BATCH_POINTS", batch_points)
+        assert np.array_equal(depleted_efficiencies(m, 0.0, ratios, steps=4000),
+                              np.zeros(13))
+    monkeypatch.setattr(propagation, "_BATCH_POINTS", 1)
+    mixed = np.array([0.3, 0.0, 0.7])
+    eta = depleted_efficiencies(m, coupling, mixed, steps=4000)
+    assert eta[1] == 0.0
+    assert np.array_equal(eta[[0, 2]], depleted_efficiencies(m, coupling, mixed[[0, 2]],
+                                                             steps=4000))
+
+
+def test_batched_kernel_skips_cells_without_a_finite_fold(monkeypatch):
+    # a zero-width cell (K = 0), or a coupling so weak that some D/K overflows,
+    # has no (D/K) row: such a sweep runs on the scalar path
+    z = np.array([0.0, 0.25, 0.5, 0.5, 1.0]) * L
+    phi = 3000.0 * z
+    profile = MismatchProfile(z=z, delta_k=np.full(5, 3000.0), phi=phi, kappa=np.nan,
+                              length=L)
+    weak = constant_mismatch(5000.0, L, grid_n=11)
+    ratios = np.linspace(0.1, 1.2, 5)
+    for prof, coupling in ((profile, 1.3 / L), (weak, 1e-306)):
+        monkeypatch.setattr(propagation, "_BATCH_POINTS", 10 ** 6)
+        scalar = depleted_efficiencies(prof, coupling, ratios, steps=100)
+        monkeypatch.setattr(propagation, "_BATCH_POINTS", 1)
+        assert np.array_equal(depleted_efficiencies(prof, coupling, ratios, steps=100), scalar)
+        assert np.all(np.isfinite(scalar))
 
 
 def test_trajectory_csv(tmp_path, design_dk):
