@@ -206,9 +206,9 @@ def robustness_pump_sweep(design, rel_min=-0.25, rel_max=0.25, samples=81,
     return SweepResult("pump_intensity_rel_error", "1", xs, etas, summary, estimates)
 
 
-def efficiency_vs_length(target="deltak", lengths=None, grid_n=4001,
-                         steps=20000, workers=1):
-    """Conversion efficiency vs crystal length.
+def efficiency_vs_length(lengths, target="deltak", grid_n=4001, steps=20000,
+                         workers=1):
+    """Conversion efficiency vs crystal length, at the given lengths (m).
 
     The engineered design uses the scaling law kappa*(L) * L = const anchored
     at the 1 mm reference length. The chirp baseline keeps the reference
@@ -218,8 +218,6 @@ def efficiency_vs_length(target="deltak", lengths=None, grid_n=4001,
     accepted and ignored.
     """
     reference_length, sustain_threshold = 1e-3, 0.90
-    if lengths is None:
-        lengths = np.geomspace(0.2e-3, 20e-3, 25)
     lengths = np.asarray(lengths, dtype=float)
 
     ref = optimize_kappa(reference_length, target=target, grid_n=grid_n)

@@ -1,5 +1,5 @@
 """Propagators for the coupled-wave equations, stepped cell by cell in the
-co-rotating frame A3 e^{-i phi} under one step policy (_plan).
+co-rotating frame A3 e^{-i phi}, with one step policy (_plan) and recorder (_record).
 
 Undepleted pump: the linear pair
     dA1/dz = -i kappa A3 e^{-i phi(z)},   dA3/dz = -i kappa A1 e^{+i phi(z)}
@@ -83,24 +83,51 @@ def _check_steps(steps, kappa, delta_k, length):
             f"{max(required, 10)} (10 steps per 2*pi)")
 
 
-def _plan(mismatch, kappa, steps, record_stride):
+def _plan(mismatch, kappa, steps):
     """The step policy of both recorders: check steps, take sub =
-    ceil(steps / cells) equal steps in every profile cell, total in all, and
-    record every record_stride-th (default: about 2000 points)."""
+    ceil(steps / cells) equal steps in every profile cell, total in all."""
     _check_steps(steps, kappa, mismatch.delta_k, mismatch.length)
     z, phi = mismatch.z.tolist(), mismatch.phi.tolist()
     sub = -(-steps // (len(z) - 1))
-    total = sub * (len(z) - 1)
-    if record_stride is None:
-        record_stride = max(1, total // 2000)
-    return z, phi, sub, total, record_stride
+    return z, phi, sub, sub * (len(z) - 1)
 
 
-def _lab_frame(z, phi, j, k, sub, c3):
-    """(z, lab-frame a3 = c3 e^{i phi}) after k of the sub steps of cell j."""
-    f = k / sub
-    return (z[j] + f * (z[j + 1] - z[j]),
-            c3 * cmath.exp(1j * (phi[j] + f * (phi[j + 1] - phi[j]))))
+def _record(z, phi, sub, total, advance, cells, state, initial):
+    """Both recorders' loop: advance(cells[i:j], sub, *state) is stopped and
+    resumed at every max(1, total // 2000)-th step and the last, so recording
+    never changes the fields. Records (z, lab-frame a3 = c3 e^{i phi}, *state[:-1])."""
+    stride = max(1, total // 2000)
+    rec = [(z[0], complex(initial.a3)) + state[:-1]]
+    n = 0
+    for m in [*range(stride, total, stride), total]:
+        while n < m:  # steps n+1 .. m: the rest of a cell, or whole cells
+            j, k = divmod(n, sub)
+            if k or m - n < sub:
+                take = min(sub - k, m - n)
+                state = advance(cells[j:j + 1], take, *state)
+            else:
+                take = (m - n) // sub * sub
+                state = advance(cells[j:j + take // sub], sub, *state)
+            n += take
+        j = (m - 1) // sub
+        f = (m - j * sub) / sub
+        rec.append((z[j] + f * (z[j + 1] - z[j]),
+                    state[-1] * cmath.exp(1j * (phi[j] + f * (phi[j + 1] - phi[j]))))
+                   + state[:-1])
+    rz, r3, r1, *r2 = (np.array(col) for col in zip(*rec))
+    eta = 0.0 if abs(initial.a1) == 0 else abs(state[-1]) ** 2 / abs(initial.a1) ** 2
+    return FieldTrajectory(z=rz, a1=r1, a3=r3, a2=r2[0] if r2 else None,
+                           efficiency=float(eta), steps=total)
+
+
+def _widths_and_mismatch(z, phi):
+    """(h, d) of the cells between nodes (last axis); d = 0 where h = 0 makes a
+    zero-width cell the identity (cheaper than a masked np.divide)."""
+    h = np.diff(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.diff(phi) / h
+    d[h == 0] = 0.0
+    return h, d
 
 
 def _rotations(k, d, h):
@@ -116,8 +143,7 @@ def _rotations(k, d, h):
     return a, -sw * k
 
 
-def simulate_undepleted(mismatch, kappa, steps=20000, initial=None,
-                        record_stride=None):
+def simulate_undepleted(mismatch, kappa, steps=20000, initial=FieldState()):
     """Propagate the undepleted two-wave pair exactly, recording its fields.
 
     kappa is the per-wave coupling rate of the pair as written above. In the
@@ -126,33 +152,21 @@ def simulate_undepleted(mismatch, kappa, steps=20000, initial=None,
     S = e [[a, b], [b, a*]] on (a1, c3), e = e^{-i d h/2}, (a, beta) from
     _rotations and b = i beta + 0.0 (+0 real parts, as a complex b had). It is
     applied as 1 + (S - 1), with a - 1 and e - 1 from 1 - cos x = sin^2 x /
-    (1 + cos x), so that rounding scales with the step.
-    steps and record_stride, as in simulate_depleted, set only the recording.
+    (1 + cos x), so that rounding scales with the step (_exact_steps). steps
+    sets only how finely _record samples the fields. Zero-width cells are skipped.
     """
-    if initial is None:
-        initial = FieldState()
-    z, phi, sub, total, record_stride = _plan(mismatch, kappa, steps, record_stride)
+    z, phi, sub, total = _plan(mismatch, kappa, steps)
 
-    h = np.diff(mismatch.z) / sub
-    d = np.diff(mismatch.phi) / np.diff(mismatch.z)
+    dz, d = _widths_and_mismatch(mismatch.z, mismatch.phi)
+    h = dz / sub
     a, beta = _rotations(float(kappa), d, h)
     e = np.exp(-0.5j * d * h)
     am1 = 1j * a.imag - (a.imag ** 2 + beta ** 2) / (1.0 + a.real)
     em1 = 1j * e.imag - e.imag ** 2 / (1.0 + e.real)
-    cells = zip((em1 * a + am1).tolist(), (e * (1j * beta + 0.0)).tolist(),
-                (em1 * a.conj() + am1.conj()).tolist())
-    a1, c3 = complex(initial.a1), complex(initial.a3) * cmath.exp(-1j * phi[0])
-    rec = [(z[0], complex(initial.a3), a1)]
-    for j, (p, q, r) in enumerate(cells):
-        for n in range(j * sub + 1, j * sub + sub + 1):
-            a1, c3 = a1 + (p * a1 + q * c3), c3 + (q * a1 + r * c3)
-            if n % record_stride == 0 or n == total:
-                rec.append(_lab_frame(z, phi, j, n - j * sub, sub, c3) + (a1,))
-
-    rz, r3, r1 = (np.array(col) for col in zip(*rec))
-    eta = 0.0 if abs(initial.a1) == 0 else abs(c3) ** 2 / abs(initial.a1) ** 2
-    return FieldTrajectory(z=rz, a1=r1, a3=r3, a2=None, efficiency=float(eta),
-                           steps=total)
+    cells = list(zip((em1 * a + am1).tolist(), (e * (1j * beta + 0.0)).tolist(),
+                     (em1 * a.conj() + am1.conj()).tolist()))
+    state = (complex(initial.a1), complex(initial.a3) * cmath.exp(-1j * phi[0]))
+    return _record(z, phi, sub, total, _exact_steps, cells, state, initial)
 
 
 # Points x cells multiplied per pass of undepleted_efficiencies: at most
@@ -199,15 +213,15 @@ def undepleted_efficiencies(z, phi, coupling):
     node grid z, (P, N) or (N,), at the P lab-frame pair couplings: one
     _rotations matrix per cell, multiplied in a pairwise tree. Passes of
     _pass_points points stop at _TAIL_CELLS cells, and all P share the last
-    levels. A point's result is bit-identical in any batch or order."""
+    levels. A point's result is bit-identical in any batch or order. A
+    zero-width cell is the identity."""
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     z = np.broadcast_to(np.asarray(z, dtype=float), phi.shape)
     coupling = np.broadcast_to(np.asarray(coupling, dtype=float), phi.shape[:1])
     step = _pass_points(phi.shape[1] - 1)
     tail = []
     for s in range(0, phi.shape[0], step):
-        h = np.diff(z[s:s + step], axis=1)
-        d = np.diff(phi[s:s + step], axis=1) / h
+        h, d = _widths_and_mismatch(z[s:s + step], phi[s:s + step])
         cells = _first_level(*_rotations(coupling[s:s + step, None], d, h))
         tail.append(_levels(*cells, _TAIL_CELLS))
     a, b = (np.concatenate(t) for t in zip(*tail))
@@ -216,6 +230,14 @@ def undepleted_efficiencies(z, phi, coupling):
         _, last = _levels(a[s:s + _TAIL_POINTS], b[s:s + _TAIL_POINTS], 1)
         eta[s:s + _TAIL_POINTS] = np.abs(last[:, 0]) ** 2
     return eta
+
+
+def _exact_steps(cells, sub, a1, c3):
+    """sub steps (a1, c3) += (S - 1)(a1, c3) per cell (p, q, r) of simulate_undepleted."""
+    for p, q, r in cells:
+        for _ in range(sub):
+            a1, c3 = a1 + (p * a1 + q * c3), c3 + (q * a1 + r * c3)
+    return a1, c3
 
 
 def _depleted_cells(z, phi, kt, sub):
@@ -308,8 +330,7 @@ def _rk4_stacked(cells, sub, X):
     return X
 
 
-def simulate_depleted(mismatch, kappa, steps=20000, initial=None,
-                      record_stride=None):
+def simulate_depleted(mismatch, kappa, steps=20000, initial=None):
     """Integrate the flux-normalized three-wave system with pump depletion,
 
         da1/dz = -i kt a2* a3 e^{-i phi},  da2/dz = -i kt a1* a3 e^{-i phi},
@@ -323,40 +344,20 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None,
     c3 = a3 e^{-i phi} each cell is autonomous, c3' = -i kt a1 a2 - i d c3
     with the cell's constant mismatch d (an integrating factor; Lawson, SIAM
     J. Numer. Anal. 4, 372, 1967). RK4 (_rk4) takes ceil(steps / cells) equal
-    steps per cell, at least steps in all; record_stride counts these steps.
-    The integration stops at each recorded step and resumes from it, so the
-    stride never changes the fields.
+    steps per cell, at least steps in all; _record stops and resumes it.
     """
     if initial is None or initial.a2 is None:
         raise PropagationError("depleted mode needs an explicit pump amplitude a2")
     if not all(np.isfinite([abs(initial.a1), abs(initial.a2), abs(initial.a3)])):
         raise PropagationError("non-finite initial amplitudes")
-    z, phi, sub, total, record_stride = _plan(mismatch, kappa, steps, record_stride)
+    z, phi, sub, total = _plan(mismatch, kappa, steps)
 
     kt = float(kappa / abs(initial.a2) if initial.a2 else kappa)
     cells = _depleted_cells(z, phi, kt, sub)
     # Python complex throughout: one numpy scalar in the state triples the cost
     state = (complex(initial.a1), complex(initial.a2),
              complex(initial.a3) * cmath.exp(-1j * phi[0]))
-    rec = [(z[0], complex(initial.a3)) + state[:2]]
-    n = 0
-    for m in [*range(record_stride, total, record_stride), total]:
-        while n < m:  # steps n+1 .. m: the rest of a cell, or whole cells
-            j, k = divmod(n, sub)
-            if k or m - n < sub:
-                take = min(sub - k, m - n)
-                state = _rk4(cells[j:j + 1], take, *state)
-            else:
-                take = (m - n) // sub * sub
-                state = _rk4(cells[j:j + take // sub], sub, *state)
-            n += take
-        j = (m - 1) // sub
-        rec.append(_lab_frame(z, phi, j, m - j * sub, sub, state[2]) + state[:2])
-
-    rz, r3, r1, r2 = (np.array(col) for col in zip(*rec))
-    eta = 0.0 if abs(initial.a1) == 0 else abs(state[2]) ** 2 / abs(initial.a1) ** 2
-    return FieldTrajectory(z=rz, a1=r1, a3=r3, a2=r2, efficiency=float(eta),
-                           steps=total)
+    return _record(z, phi, sub, total, _rk4, cells, state, initial)
 
 
 # Ratios from which depleted_efficiencies integrates a sweep on arrays. A
@@ -381,7 +382,7 @@ def depleted_efficiencies(mismatch, kappa, ratios, steps=20000):
     ratios = np.atleast_1d(np.asarray(ratios, dtype=float))
     if not np.all(np.isfinite(ratios)):
         raise PropagationError("non-finite signal/pump ratios")
-    z, phi, sub, _, _ = _plan(mismatch, kappa, steps, None)
+    z, phi, sub, _ = _plan(mismatch, kappa, steps)
     cells = _depleted_cells(z, phi, float(kappa), sub)
     c3 = 0j * cmath.exp(-1j * phi[0])
     if ratios.size < _BATCH_POINTS or not all(K and cmath.isfinite(D / K)
@@ -394,7 +395,6 @@ def depleted_efficiencies(mismatch, kappa, ratios, steps=20000):
             X = np.array([r.astype(complex), np.full(r.shape, 1.0 + 0j),
                           np.full(r.shape, c3)])
             ends += _rk4_stacked(cells, sub, X)[2].tolist()
-    # in Python, as simulate_depleted forms it: numpy's vector abs may round
-    # differently
+    # in Python, as _record forms it: numpy's vector abs may round differently
     return np.array([0.0 if r == 0 else abs(c) ** 2 / abs(r) ** 2
                      for r, c in zip(ratios.tolist(), ends)])

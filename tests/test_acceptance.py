@@ -42,7 +42,7 @@ def _eta_with_offset(design, offset, coupling_scale=1.0, steps=EDGE_STEPS):
                           phi=m.phi + offset * m.z, kappa=m.kappa,
                           length=m.length)
     traj = simulate_undepleted(eff, LAB_FRAME_COUPLING * design.kappa * coupling_scale,
-                               steps=steps, record_stride=steps)
+                               steps=steps)
     return traj.efficiency
 
 
@@ -93,7 +93,7 @@ def test_criterion_04_complete_conversion_and_flatness(design_dk, design_k):
     for length in lengths:
         mism = delta_k_profile(angle_profiles(TrajectorySpec(kl / length, length)))
         traj = simulate_undepleted(mism, LAB_FRAME_COUPLING * kl / length,
-                                   steps=EDGE_STEPS, record_stride=EDGE_STEPS)
+                                   steps=EDGE_STEPS)
         etas.append(traj.efficiency)
     flatness = max(etas) - min(etas)
     ok = eta_dk >= 0.99 and eta_k >= 0.99 and flatness < 0.01
@@ -162,7 +162,7 @@ def _eta_with_offset_period(design, rel, steps=EDGE_STEPS):
                           phi=dkm * m.z * (1 - scale) + m.phi * scale,
                           kappa=m.kappa, length=m.length)
     traj = simulate_undepleted(eff, LAB_FRAME_COUPLING * design.kappa,
-                               steps=steps, record_stride=steps)
+                               steps=steps)
     return traj.efficiency
 
 
@@ -184,7 +184,7 @@ def test_criterion_07_chirp_baseline(design_dk):
         offset = trip.material_mismatch - trip0.material_mismatch
         chirp = lz_linear_chirp(-extreme + offset, extreme + offset, L)
         traj = simulate_undepleted(chirp, LAB_FRAME_COUPLING * kap,
-                                   steps=SWEEP_STEPS, record_stride=SWEEP_STEPS)
+                                   steps=SWEEP_STEPS)
         etas.append(traj.efficiency)
     peak = max(etas)
 
@@ -192,8 +192,7 @@ def test_criterion_07_chirp_baseline(design_dk):
     es = []
     for length in lengths:
         chirp = lz_linear_chirp(-extreme, extreme, length)
-        traj = simulate_undepleted(chirp, coupling, steps=SWEEP_STEPS,
-                                   record_stride=SWEEP_STEPS)
+        traj = simulate_undepleted(chirp, coupling, steps=SWEEP_STEPS)
         es.append(traj.efficiency)
     onset = None
     for i in range(len(lengths)):
@@ -306,12 +305,10 @@ def test_criterion_10_property_suite(design_dk):
     off = np.sqrt(1e-3 / c_dk)
     eff = MismatchProfile(z=mism.z, delta_k=mism.delta_k + off,
                           phi=mism.phi + off * mism.z, kappa=9000.0, length=L)
-    deficit_dk = 1 - simulate_undepleted(eff, 0.5 * 9000.0, steps=EDGE_STEPS,
-                                         record_stride=EDGE_STEPS).efficiency
+    deficit_dk = 1 - simulate_undepleted(eff, 0.5 * 9000.0, steps=EDGE_STEPS).efficiency
     ek = np.sqrt(1e-3 / c_k)
     deficit_k = 1 - simulate_undepleted(mism, 0.5 * 9000.0 * (1 + ek),
-                                        steps=EDGE_STEPS,
-                                        record_stride=EDGE_STEPS).efficiency
+                                        steps=EDGE_STEPS).efficiency
     lines.append(f"deficit ratios {deficit_dk / 1e-3:.3f}, {deficit_k / 1e-3:.3f}")
     assert deficit_dk == pytest.approx(1e-3, rel=0.10)
     assert deficit_k == pytest.approx(1e-3, rel=0.10)

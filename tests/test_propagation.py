@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -128,20 +129,20 @@ def test_agrees_with_independent_integrator(design_dk):
 
 @pytest.mark.parametrize("case", ["constant", "chirp", "designed"])
 def test_recorder_matches_exact_propagator(case, design_dk):
-    # the recorder's sequential steps against the pairwise tree on every
-    # prefix of the profile that ends at a recorded node (5 steps per cell,
-    # recorded every 50 steps: every 10th node)
+    # the recorder's sequential steps against the pairwise tree on the prefix
+    # of the profile that ends at every 5th record (5 steps per cell and a
+    # record every 10 steps: every 2nd node, so every 10th node here)
     profile, coupling = {
         "constant": (constant_mismatch(5000.0, L), 3000.0),
         "chirp": (lz_linear_chirp(-2e4, 2e4, L), 4000.0),
         "designed": (design_dk.mismatch, 0.5 * design_dk.kappa),
     }[case]
-    traj = simulate_undepleted(profile, coupling, record_stride=50)
-    assert np.array_equal(traj.z, profile.z[::10])
+    traj = simulate_undepleted(profile, coupling)
+    assert np.array_equal(traj.z, profile.z[::2])
     tree = [undepleted_efficiencies(profile.z[:j + 1], profile.phi[:j + 1], coupling)
             for j in range(10, len(profile.z), 10)]
     assert all(eta.shape == (1,) for eta in tree)
-    assert np.abs(np.abs(traj.a3[1:]) ** 2 - np.concatenate(tree)).max() <= 1e-13
+    assert np.abs(np.abs(traj.a3[5::5]) ** 2 - np.concatenate(tree)).max() <= 1e-13
 
 
 def test_exact_propagator_batch_independent(design_dk):
@@ -336,23 +337,31 @@ def test_depleted_matches_solve_ivp(design_dk, ratio):
         assert np.abs(got - ref[::2]).max() <= 1e-10
 
 
-def test_depleted_recording_never_changes_the_fields(design_dk):
-    # the recorder stops the integration at every recorded step (also inside
-    # a cell: 5 steps per cell here) and resumes it bit-identically
+@pytest.mark.parametrize("depleted", [False, True])
+def test_recording_never_changes_the_fields(design_dk, depleted, monkeypatch):
+    # 1500 steps on 1000 cells round up to 2 per cell, and 2000 steps record
+    # every step: the recorder stops inside every cell and resumes, and the
+    # final eta equals an unrecorded run to the bit
+    m = assemble_design(design_dk.kappa, design_dk.length, "deltak", grid_n=1001).mismatch
     coupling = LAB_FRAME_COUPLING * design_dk.kappa
-    runs = {stride: simulate_depleted(design_dk.mismatch, coupling, steps=20000,
-                                      initial=FieldState(0.8, 0.0, 1.0),
-                                      record_stride=stride)
-            for stride in (3, 5, 10, 20000)}
-    end = runs[20000]
-    assert end.z.size == 2
-    for stride, traj in runs.items():
-        assert traj.z.size == -(-20000 // stride) + 1
-        assert traj.efficiency == end.efficiency
-        for got, ref in ((traj.a1, end.a1), (traj.a2, end.a2), (traj.a3, end.a3)):
-            assert got[-1] == ref[-1]
-    for f in ("z", "a1", "a2", "a3"):
-        assert np.array_equal(getattr(runs[10], f), getattr(runs[5], f)[::2])
+    calls, record = [], propagation._record
+
+    def spy(*args):
+        calls.append(args)
+        return record(*args)
+    monkeypatch.setattr(propagation, "_record", spy)
+    if depleted:
+        traj = simulate_depleted(m, coupling, steps=1500, initial=FieldState(0.8, 0.0, 1.0))
+        assert np.array_equal(depleted_efficiencies(m, coupling, [0.8], steps=1500),
+                              [traj.efficiency])
+    else:
+        traj = simulate_undepleted(m, coupling, steps=1500)
+        _, _, sub, _, advance, cells, state, _ = calls[0]
+        assert advance is propagation._exact_steps and sub == 2
+        c3 = propagation._exact_steps(cells, sub, *state)[1]
+        assert abs(c3) ** 2 == traj.efficiency
+    assert traj.steps == 2000 and traj.z.size == 2001
+    assert np.array_equal(traj.z[::2], m.z)
 
 
 @pytest.mark.parametrize("design", ["design_dk", "design_k"])
@@ -366,7 +375,7 @@ def test_batched_sweep_matches_simulate_depleted(design, request):
                                         samples=samples, steps=4000)
         ratios, etas = result.values, result.efficiencies
         alone = np.array([simulate_depleted(
-            design.mismatch, coupling, steps=4000, record_stride=4000,
+            design.mismatch, coupling, steps=4000,
             initial=FieldState(r, 0.0, 1.0)).efficiency for r in ratios])
         if samples < _BATCH_POINTS:
             assert np.array_equal(etas, alone)
@@ -435,6 +444,27 @@ def test_batched_kernel_skips_cells_without_a_finite_fold(monkeypatch):
         monkeypatch.setattr(propagation, "_BATCH_POINTS", 1)
         assert np.array_equal(depleted_efficiencies(prof, coupling, ratios, steps=100), scalar)
         assert np.all(np.isfinite(scalar))
+
+
+def test_zero_width_cell_is_the_identity():
+    # a repeated node: both undepleted entry points stay finite, with no
+    # warning, and match the profile with the repeated node dropped
+    z = np.array([0.0, 0.25, 0.5, 0.5, 1.0]) * L
+    phi = 3000.0 * z
+    profile = MismatchProfile(z=z, delta_k=np.full(5, 3000.0), phi=phi, kappa=np.nan,
+                              length=L)
+    keep = [0, 1, 2, 4]
+    dropped = MismatchProfile(z=z[keep], delta_k=np.full(4, 3000.0), phi=phi[keep],
+                              kappa=np.nan, length=L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coupling in (1300.0, 1.57 / L):
+            eta = undepleted_efficiencies(z, phi, coupling)
+            traj = simulate_undepleted(profile, coupling, steps=100)
+            assert np.all(np.isfinite(eta)) and np.all(np.isfinite(traj.a3))
+            assert abs(eta[0] - undepleted_efficiencies(z[keep], phi[keep], coupling)[0]) <= 1e-15
+            ref = simulate_undepleted(dropped, coupling, steps=100).efficiency
+            assert abs(traj.efficiency - ref) <= 1e-15
 
 
 def test_trajectory_csv(tmp_path, design_dk):

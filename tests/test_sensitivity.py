@@ -223,8 +223,7 @@ def _simulated_deficit(kappa, offset=0.0, coupling_scale=1.0, steps=12000):
     m = delta_k_profile(angles)
     eff = MismatchProfile(z=m.z, delta_k=m.delta_k + offset,
                           phi=m.phi + offset * m.z, kappa=kappa, length=L)
-    traj = simulate_undepleted(eff, 0.5 * kappa * coupling_scale, steps=steps,
-                               record_stride=steps)
+    traj = simulate_undepleted(eff, 0.5 * kappa * coupling_scale, steps=steps)
     return 1.0 - traj.efficiency
 
 
