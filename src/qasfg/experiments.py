@@ -4,6 +4,7 @@ and signal-depletion experiments.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -206,35 +207,45 @@ def robustness_pump_sweep(design, rel_min=-0.25, rel_max=0.25, samples=81,
     return SweepResult("pump_intensity_rel_error", "1", xs, etas, summary, estimates)
 
 
+@lru_cache(maxsize=8)
+def _length_reference(target, grid_n):
+    """(kappa*, |dk(0)|, designed eta, chirp eta) of the 1 mm reference design
+    and of its matched-extremes chirp, floats only; an exception caches nothing."""
+    kappa = optimize_kappa(1e-3, target=target, grid_n=grid_n).kappa_opt
+    designed = delta_k_profile(angle_profiles(TrajectorySpec(kappa, 1e-3, grid_n)))
+    dk_extreme = abs(float(designed.delta_k[0]))
+    chirp = lz_linear_chirp(-dk_extreme, dk_extreme, 1e-3, grid_n)
+    etas = undepleted_efficiencies([designed.z, chirp.z], [designed.phi, chirp.phi],
+                                   LAB_FRAME_COUPLING * kappa)
+    return kappa, dk_extreme, *etas.tolist()
+
+
 def efficiency_vs_length(lengths, target="deltak", grid_n=4001, steps=20000,
                          workers=1):
     """Conversion efficiency vs crystal length, at the given lengths (m).
 
     The engineered design uses the scaling law kappa*(L) * L = const anchored
-    at the 1 mm reference length. The chirp baseline keeps the reference
-    coupling and ramps the mismatch linearly between the reference design's
-    endpoint values over each length. Both depend on kappa*L and z/L only,
-    so no material enters. Solved as bandwidth_sweep; steps and workers are
-    accepted and ignored.
+    at the 1 mm reference length, so its cells depend on kappa*L and z/L only:
+    every length has the reference's efficiency, solved once per target and
+    grid (_length_reference). The chirp baseline keeps the reference coupling
+    and ramps the mismatch linearly between the reference design's endpoint
+    values over each length; eta_at_reference is its exact 1 mm value. No
+    material enters. Solved as bandwidth_sweep; steps and workers are ignored.
     """
-    reference_length, sustain_threshold = 1e-3, 0.90
+    sustain_threshold = 0.90
     lengths = np.asarray(lengths, dtype=float)
+    if not (lengths.ndim == 1 and lengths.size and np.all(np.isfinite(lengths))
+            and lengths[0] > 0 and np.all(np.diff(lengths) > 0)):
+        raise ValueError("lengths must be a non-empty, finite, positive and "
+                         f"strictly increasing 1-D array, got {lengths!r}")
+    kappa_ref, dk_extreme, eta_designed, eta_reference = _length_reference(target, grid_n)
 
-    ref = optimize_kappa(reference_length, target=target, grid_n=grid_n)
-    kl_const = ref.kappa_opt * reference_length
-    ref_angles = angle_profiles(TrajectorySpec(ref.kappa_opt, reference_length, grid_n))
-    ref_mismatch = delta_k_profile(ref_angles)
-    dk_extreme = abs(ref_mismatch.delta_k[0])
-
-    qa_couplings = LAB_FRAME_COUPLING * (kl_const / lengths)
-    lz_coupling = LAB_FRAME_COUPLING * ref.kappa_opt
-    qa_z, qa_phi, lz_z, lz_phi = (np.empty((len(lengths), grid_n)) for _ in range(4))
+    lz_z, lz_phi = (np.empty((len(lengths), grid_n)) for _ in range(2))
     for i, L in enumerate(lengths):
-        mism = delta_k_profile(angle_profiles(TrajectorySpec(kl_const / L, L, grid_n)))
         chirp = lz_linear_chirp(-dk_extreme, dk_extreme, L, grid_n)
-        qa_z[i], qa_phi[i], lz_z[i], lz_phi[i] = mism.z, mism.phi, chirp.z, chirp.phi
-    qa = undepleted_efficiencies(qa_z, qa_phi, qa_couplings)
-    lz = undepleted_efficiencies(lz_z, lz_phi, lz_coupling)
+        lz_z[i], lz_phi[i] = chirp.z, chirp.phi
+    qa = np.full(len(lengths), eta_designed)
+    lz = undepleted_efficiencies(lz_z, lz_phi, LAB_FRAME_COUPLING * kappa_ref)
 
     sustained = None
     for i in range(len(lengths)):
@@ -245,9 +256,9 @@ def efficiency_vs_length(lengths, target="deltak", grid_n=4001, steps=20000,
                   "min_eta": float(qa.min())}
     lz_summary = {"first_sustained_above_threshold_m": sustained,
                   "sustain_threshold": sustain_threshold,
-                  "eta_at_reference": float(np.interp(reference_length, lengths, lz)),
-                  "chirp_extreme_rad_per_m": float(dk_extreme),
-                  "kappa_per_cm": ref.kappa_opt / 100.0}
+                  "eta_at_reference": eta_reference,
+                  "chirp_extreme_rad_per_m": dk_extreme,
+                  "kappa_per_cm": kappa_ref / 100.0}
     return LengthSweeps(
         qa=SweepResult("length", "m", lengths, qa, qa_summary),
         lz=SweepResult("length", "m", lengths, lz, lz_summary))

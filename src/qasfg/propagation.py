@@ -121,13 +121,16 @@ def _record(z, phi, sub, total, advance, cells, state, initial):
 
 
 def _widths_and_mismatch(z, phi):
-    """(h, d) of the cells between nodes (last axis); d = 0 where h = 0 makes a
-    zero-width cell the identity (cheaper than a masked np.divide)."""
-    h = np.diff(z)
+    """(h, d, jumps) of the cells between nodes (last axis): a zero-width cell
+    takes d = 0, and jumps is (mask, phase steps) of such cells, or None."""
+    h, dphi = np.diff(z), np.diff(phi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.diff(phi) / h
-    d[h == 0] = 0.0
-    return h, d
+        d = dphi / h
+    zero = h == 0
+    if not zero.any():
+        return h, d, None
+    d[zero] = 0.0
+    return h, d, (zero, dphi[zero])
 
 
 def _rotations(k, d, h):
@@ -153,14 +156,17 @@ def simulate_undepleted(mismatch, kappa, steps=20000, initial=FieldState()):
     _rotations and b = i beta + 0.0 (+0 real parts, as a complex b had). It is
     applied as 1 + (S - 1), with a - 1 and e - 1 from 1 - cos x = sin^2 x /
     (1 + cos x), so that rounding scales with the step (_exact_steps). steps
-    sets only how finely _record samples the fields. Zero-width cells are skipped.
+    sets only how finely _record samples the fields. Phase steps rotate c3.
     """
     z, phi, sub, total = _plan(mismatch, kappa, steps)
 
-    dz, d = _widths_and_mismatch(mismatch.z, mismatch.phi)
+    dz, d, jumps = _widths_and_mismatch(mismatch.z, mismatch.phi)
     h = dz / sub
     a, beta = _rotations(float(kappa), d, h)
     e = np.exp(-0.5j * d * h)
+    if jumps:  # sub steps diag(1, e^{-i dphi / sub}): a phase step's h -> 0 limit
+        a[jumps[0]] = np.exp(0.5j * jumps[1] / sub)
+        e[jumps[0]] = a[jumps[0]].conj()
     am1 = 1j * a.imag - (a.imag ** 2 + beta ** 2) / (1.0 + a.real)
     em1 = 1j * e.imag - e.imag ** 2 / (1.0 + e.real)
     cells = list(zip((em1 * a + am1).tolist(), (e * (1j * beta + 0.0)).tolist(),
@@ -214,15 +220,18 @@ def undepleted_efficiencies(z, phi, coupling):
     _rotations matrix per cell, multiplied in a pairwise tree. Passes of
     _pass_points points stop at _TAIL_CELLS cells, and all P share the last
     levels. A point's result is bit-identical in any batch or order. A
-    zero-width cell is the identity."""
+    zero-width cell's phase step dphi is its h -> 0 limit diag(e^{i dphi/2}, c.c.)."""
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     z = np.broadcast_to(np.asarray(z, dtype=float), phi.shape)
     coupling = np.broadcast_to(np.asarray(coupling, dtype=float), phi.shape[:1])
     step = _pass_points(phi.shape[1] - 1)
     tail = []
     for s in range(0, phi.shape[0], step):
-        h, d = _widths_and_mismatch(z[s:s + step], phi[s:s + step])
-        cells = _first_level(*_rotations(coupling[s:s + step, None], d, h))
+        h, d, jumps = _widths_and_mismatch(z[s:s + step], phi[s:s + step])
+        a, beta = _rotations(coupling[s:s + step, None], d, h)
+        if jumps:
+            a[jumps[0]] = np.exp(0.5j * jumps[1])
+        cells = _first_level(a, beta)
         tail.append(_levels(*cells, _TAIL_CELLS))
     a, b = (np.concatenate(t) for t in zip(*tail))
     eta = np.empty(phi.shape[0])

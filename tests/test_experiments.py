@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qasfg import experiments
 from qasfg.cli import main
 from qasfg.experiments import (
     LAB_FRAME_COUPLING, bandwidth_sweep, efficiency_vs_length, fwhm_interval,
@@ -14,7 +15,8 @@ from qasfg.experiments import (
 from qasfg.materials import (SELLMEIER_SETS, DispersionModel, MaterialError,
                              NonlinearConstants, coupling_coefficient,
                              make_wave_triplet)
-from qasfg.propagation import lz_linear_chirp, simulate_undepleted
+from qasfg.propagation import (lz_linear_chirp, simulate_undepleted,
+                               undepleted_efficiencies)
 from qasfg.sensitivity import eta_from_period_error, first_order_efficiency
 from qasfg.trajectory import (TrajectorySpec, angle_profiles, boundary_check,
                               delta_k_profile)
@@ -262,6 +264,59 @@ def test_length_sweep_tree_matches_exact_recorder():
                 (chirp, LAB_FRAME_COUPLING * kappa_ref, sweeps.lz.efficiencies[i])):
             recorded = simulate_undepleted(profile, coupling)
             assert abs(eta - recorded.efficiency) <= 1e-10
+
+
+@pytest.mark.parametrize("target", ["deltak", "kappa"])
+@pytest.mark.parametrize("grid_n", [1001, 4001])
+def test_designed_length_arm_matches_per_length_trees(target, grid_n):
+    # the designed arm is one propagation of the 1 mm reference; each length's
+    # own profile, rebuilt at kappa*L = const and solved alone, agrees
+    lengths = np.geomspace(0.2e-3, 20e-3, 5)
+    sweeps = efficiency_vs_length(lengths, target=target, grid_n=grid_n)
+    kl = experiments._length_reference(target, grid_n)[0] * 1e-3
+    for length, eta in zip(lengths, sweeps.qa.efficiencies):
+        m = delta_k_profile(angle_profiles(TrajectorySpec(kl / length, length, grid_n)))
+        own = undepleted_efficiencies(m.z, m.phi, LAB_FRAME_COUPLING * kl / length)[0]
+        assert abs(eta - own) <= 1e-13
+    assert sweeps.qa.summary["flatness_max_minus_min"] == 0.0
+
+
+def test_length_sweep_warm_equals_cold():
+    lengths = np.geomspace(0.3e-3, 8e-3, 4)
+    experiments._length_reference.cache_clear()
+    cold = efficiency_vs_length(lengths, grid_n=1001)
+    warm = efficiency_vs_length(lengths, grid_n=1001)
+    for a, b in ((cold.qa, warm.qa), (cold.lz, warm.lz)):
+        assert a.efficiencies.tobytes() == b.efficiencies.tobytes()
+        assert a.summary == b.summary
+
+
+def test_length_sweep_bad_target_raises_every_call():
+    cached = experiments._length_reference.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown target"):
+            efficiency_vs_length(np.array([1e-3, 2e-3]), target="bogus")
+    assert experiments._length_reference.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("lengths", [
+    [], [np.nan, 1e-3], [1e-3, np.inf], [0.0, 1e-3], [-1e-3, 1e-3], [2e-3, 1e-3],
+    [1e-3, 1e-3], 1e-3, [[1e-3, 2e-3]],
+])
+def test_length_sweep_rejects_bad_lengths(monkeypatch, lengths):
+    # before any work: the reference design is never built
+    monkeypatch.setattr("qasfg.experiments._length_reference", None)
+    with pytest.raises(ValueError, match="lengths"):
+        efficiency_vs_length(lengths)
+
+
+def test_eta_at_reference_is_the_exact_1mm_chirp():
+    # the chirp's eta oscillates with L, so no window may interpolate it
+    exact = efficiency_vs_length(np.array([0.5e-3, 1e-3, 2e-3]), grid_n=1001).lz
+    assert exact.summary["eta_at_reference"] == exact.efficiencies[1]
+    for lo, hi in ((0.2e-3, 20e-3), (5e-3, 20e-3), (0.2e-3, 0.5e-3)):
+        window = efficiency_vs_length(np.geomspace(lo, hi, 7), grid_n=1001).lz
+        assert window.summary["eta_at_reference"] == exact.efficiencies[1]
 
 
 def test_pump_intensity_decreases_with_length(design_dk):

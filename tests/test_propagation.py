@@ -467,6 +467,32 @@ def test_zero_width_cell_is_the_identity():
             assert abs(traj.efficiency - ref) <= 1e-15
 
 
+def test_zero_width_cell_applies_its_phase_step():
+    # a repeated node where phi steps by 1 rad: the h -> 0 limit rotates c3 by
+    # e^{-i dphi}, as a 1 fm-wide cell and the depleted propagators do
+    z = np.array([0.0, 0.25, 0.5, 0.5, 1.0]) * L
+    phi = 3000.0 * z + np.array([0.0, 0.0, 0.0, 1.0, 1.0])
+    profile = MismatchProfile(z=z, delta_k=np.full(5, 3000.0), phi=phi, kappa=np.nan,
+                              length=L)
+    thin = z.copy()
+    thin[3] += 1e-15
+    thin_profile = MismatchProfile(z=thin, delta_k=profile.delta_k, phi=phi, kappa=np.nan,
+                                   length=L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coupling in (1300.0, 1.57 / L):
+            limit = undepleted_efficiencies(thin, phi, coupling)[0]
+            eta = undepleted_efficiencies(z, phi, coupling)[0]
+            traj = simulate_undepleted(profile, coupling, steps=100)
+            assert abs(eta - limit) <= 1e-12 and abs(traj.efficiency - limit) <= 1e-12
+            fields = simulate_undepleted(thin_profile, coupling, steps=100)
+            assert np.abs(traj.a1 - fields.a1).max() <= 1e-11
+            assert np.abs(traj.a3 - fields.a3).max() <= 1e-11
+            weak = depleted_efficiencies(profile, coupling, [1e-4], steps=100)[0]
+            assert abs(weak - limit) <= 1e-7
+    assert abs(eta - 0.0221) <= 1e-4
+
+
 def test_trajectory_csv(tmp_path, design_dk):
     # trajectory.csv carries A1 and A3 in both modes and A2 only when depleted,
     # one row per recorded z sample
