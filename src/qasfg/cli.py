@@ -96,6 +96,17 @@ LIMITS = {
 }
 
 
+# Each windowed sweep's min and max keys, the conversion of their values to
+# the library's units, and the spacing of the grid it builds between them.
+SWEEP_WINDOWS = {
+    "bandwidth": ("lambda_min_um", "lambda_max_um", lambda v: v * 1e-6, np.linspace),
+    "period": ("min_pct", "max_pct", lambda v: v / 100.0, np.linspace),
+    "pump": ("min_pct", "max_pct", lambda v: v / 100.0, np.linspace),
+    "length": ("min_mm", "max_mm", lambda v: v * 1e-3, np.geomspace),
+    "signal": ("ratio_min", "ratio_max", lambda v: v, np.linspace),
+}
+
+
 class ConfigError(ValueError):
     """Malformed or unknown configuration content."""
 
@@ -199,6 +210,22 @@ def _band_window(cfg):
             for key in ("lambda_min_um", "lambda_max_um")]
 
 
+def _sweep_window(cfg, name):
+    """The named sweep's (min, max, grid) in the library's units: the grid it
+    builds on its window. ConfigError naming the window's keys where that grid
+    is not strictly increasing, a window too narrow for its samples."""
+    block = cfg["sweeps"][name]
+    lo_key, hi_key, to_lib, spacing = SWEEP_WINDOWS[name]
+    lo, hi = to_lib(block[lo_key]), to_lib(block[hi_key])
+    grid = spacing(lo, hi, block["samples"])
+    if np.any(np.diff(grid) <= 0):
+        keys = [f"sweeps.{name}.{key}" for key in (lo_key, hi_key, "samples")]
+        raise ConfigError(
+            f"bad window for config keys {', '.join(keys)}: its {block['samples']} "
+            f"samples are not strictly increasing; widen it or take fewer samples")
+    return lo, hi, grid
+
+
 def load_config(path):
     """Read, validate, and merge the config file; return (config, sha256)."""
     if path is None:
@@ -212,6 +239,8 @@ def load_config(path):
         merged = _merge_validate(user, DEFAULT_CONFIG, LIMITS)
         _check_grid_and_band("config", "design.", merged["design"], merged["material"],
                              _band_window(merged))
+        for name in SWEEP_WINDOWS:
+            _sweep_window(merged, name)
     canonical = json.dumps(merged, sort_keys=True, separators=(",", ":"))
     return merged, hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -410,9 +439,7 @@ def cmd_sweep(args):
         return 0
 
     if args.name == "length":
-        d, block = cfg["design"], cfg["sweeps"]["length"]
-        lengths = np.geomspace(block["min_mm"] * 1e-3, block["max_mm"] * 1e-3,
-                               block["samples"])
+        d, (_, _, lengths) = cfg["design"], _sweep_window(cfg, "length")
         sweeps = xp.efficiency_vs_length(target=d["target"], lengths=lengths,
                                          grid_n=d["grid_N"])
         _write_csv(os.path.join(outdir, "length.csv"), cfg_hash,
@@ -425,21 +452,20 @@ def cmd_sweep(args):
         return 0
 
     block = cfg["sweeps"][args.name]
+    lo, hi, _ = _sweep_window(cfg, args.name)
     if args.name == "bandwidth":
-        result = xp.bandwidth_sweep(
-            design, lam_min=block["lambda_min_um"] * 1e-6,
-            lam_max=block["lambda_max_um"] * 1e-6, samples=block["samples"])
+        result = xp.bandwidth_sweep(design, lam_min=lo, lam_max=hi,
+                                    samples=block["samples"])
         print(f"fwhm = {result.summary['fwhm_nm']:.1f} nm")
     elif args.name in ("period", "pump"):
         sweep = {"period": xp.robustness_period_sweep,
                  "pump": xp.robustness_pump_sweep}[args.name]
-        result = sweep(design, rel_min=block["min_pct"] / 100.0,
-                       rel_max=block["max_pct"] / 100.0, samples=block["samples"])
+        result = sweep(design, rel_min=lo, rel_max=hi, samples=block["samples"])
         print(f"eta(0) = {result.summary['eta_at_zero']:.6f}")
     else:
         result = xp.signal_intensity_sweep(
-            design, ratio_min=block["ratio_min"], ratio_max=block["ratio_max"],
-            samples=block["samples"], steps=cfg["simulation"]["steps"])
+            design, ratio_min=lo, ratio_max=hi, samples=block["samples"],
+            steps=cfg["simulation"]["steps"])
         print(f"eta(ratio={block['ratio_max']}) = {result.summary['eta_at_max_ratio']:.4f}")
 
     names = [f"{result.parameter}_{result.unit}", "eta"]

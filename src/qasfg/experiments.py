@@ -121,10 +121,12 @@ def build_design(length, target="deltak", model=DispersionModel(),
 
 
 def simulate_design(design, steps=20000, depleted=False, signal_pump_ratio=1.0):
-    """Propagate the design at its center wavelength.
+    """Propagate the design at its center wavelength, recording the fields
+    at profile nodes.
 
-    Undepleted mode launches the unit signal; depleted mode launches
-    (signal, pump) flux amplitudes (ratio, 1).
+    Undepleted mode launches the unit signal and takes one exact rotation
+    per profile cell, ignoring steps; depleted mode launches (signal, pump)
+    flux amplitudes (ratio, 1) and takes at least steps RK4 steps.
     """
     coupling = LAB_FRAME_COUPLING * design.kappa
     if depleted:

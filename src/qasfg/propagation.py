@@ -1,12 +1,12 @@
 """Propagators for the coupled-wave equations, stepped cell by cell in the
-co-rotating frame A3 e^{-i phi}, with one step policy (_plan) and recorder (_record).
+co-rotating frame A3 e^{-i phi}, with one recorder (_record) at profile nodes.
 
 Undepleted pump: the linear pair
     dA1/dz = -i kappa A3 e^{-i phi(z)},   dA3/dz = -i kappa A1 e^{+i phi(z)}
 with phi(z) the profile's accumulated mismatch phase, linear between nodes
 (never dk*z, which is wrong for chirped profiles). Every profile cell is an
 exact SU(2) rotation (_rotations): a sweep's points go through one batched
-pairwise tree, and trajectories apply it step by step to record the fields.
+pairwise tree, and trajectories apply it cell by cell to record the fields.
 
 Depleted pump: the photon-flux-normalized three-wave system, which conserves
 the Manley-Rowe combinations exactly and reduces to the pair above as the
@@ -51,7 +51,7 @@ class FieldTrajectory:
     a3: np.ndarray
     a2: np.ndarray | None
     efficiency: float
-    steps: int  # steps taken: the requested steps rounded up per cell
+    steps: int  # steps taken: RK4 steps, or the cells' exact rotations
 
 
 def constant_mismatch(delta_k, length, grid_n=4001):
@@ -72,8 +72,7 @@ def lz_linear_chirp(dk_start, dk_end, length, grid_n=4001):
 
 
 def _check_steps(steps, kappa, delta_k, length):
-    """Reject step counts that under-resolve the fastest phase rotation: the
-    depleted RK4 step, and the recording of an undepleted trajectory."""
+    """Reject RK4 step counts that under-resolve the fastest phase rotation."""
     cycles = (np.max(np.abs(delta_k)) * length
               + 2.0 * abs(kappa) * length) / (2.0 * np.pi)
     required = int(np.ceil(10.0 * cycles))
@@ -84,40 +83,30 @@ def _check_steps(steps, kappa, delta_k, length):
 
 
 def _plan(mismatch, kappa, steps):
-    """The step policy of both recorders: check steps, take sub =
-    ceil(steps / cells) equal steps in every profile cell, total in all."""
+    """The depleted step policy: check steps, take sub = ceil(steps / cells)
+    equal RK4 steps in every profile cell, total in all."""
     _check_steps(steps, kappa, mismatch.delta_k, mismatch.length)
     z, phi = mismatch.z.tolist(), mismatch.phi.tolist()
     sub = -(-steps // (len(z) - 1))
     return z, phi, sub, sub * (len(z) - 1)
 
 
-def _record(z, phi, sub, total, advance, cells, state, initial):
-    """Both recorders' loop: advance(cells[i:j], sub, *state) is stopped and
-    resumed at every max(1, total // 2000)-th step and the last, so recording
-    never changes the fields. Records (z, lab-frame a3 = c3 e^{i phi}, *state[:-1])."""
-    stride = max(1, total // 2000)
+def _record(z, phi, advance, cells, state, initial, steps):
+    """Both recorders' loop: advance(cells[j:k], *state) runs whole blocks of
+    max(1, cells // 2000) cells, and the fields are recorded at the node that
+    ends each block, so recording never changes them. Records (z, lab-frame
+    a3 = c3 e^{i phi}, *state[:-1]) from z[0] on; reports steps as taken."""
+    n = len(cells)
+    stride = max(1, n // 2000)
     rec = [(z[0], complex(initial.a3)) + state[:-1]]
-    n = 0
-    for m in [*range(stride, total, stride), total]:
-        while n < m:  # steps n+1 .. m: the rest of a cell, or whole cells
-            j, k = divmod(n, sub)
-            if k or m - n < sub:
-                take = min(sub - k, m - n)
-                state = advance(cells[j:j + 1], take, *state)
-            else:
-                take = (m - n) // sub * sub
-                state = advance(cells[j:j + take // sub], sub, *state)
-            n += take
-        j = (m - 1) // sub
-        f = (m - j * sub) / sub
-        rec.append((z[j] + f * (z[j + 1] - z[j]),
-                    state[-1] * cmath.exp(1j * (phi[j] + f * (phi[j + 1] - phi[j]))))
-                   + state[:-1])
+    for j in range(0, n, stride):
+        k = min(j + stride, n)
+        state = advance(cells[j:k], *state)
+        rec.append((z[k], state[-1] * cmath.exp(1j * phi[k])) + state[:-1])
     rz, r3, r1, *r2 = (np.array(col) for col in zip(*rec))
     eta = 0.0 if abs(initial.a1) == 0 else abs(state[-1]) ** 2 / abs(initial.a1) ** 2
     return FieldTrajectory(z=rz, a1=r1, a3=r3, a2=r2[0] if r2 else None,
-                           efficiency=float(eta), steps=total)
+                           efficiency=float(eta), steps=steps)
 
 
 def _widths_and_mismatch(z, phi):
@@ -151,28 +140,27 @@ def simulate_undepleted(mismatch, kappa, steps=20000, initial=FieldState()):
 
     kappa is the per-wave coupling rate of the pair as written above. In the
     co-rotating frame c3 = a3 e^{-i phi} a cell with mismatch d is autonomous,
-    a1' = -i kappa c3, c3' = -i kappa a1 - i d c3, and a step h of it is
-    S = e [[a, b], [b, a*]] on (a1, c3), e = e^{-i d h/2}, (a, beta) from
-    _rotations and b = i beta + 0.0 (+0 real parts, as a complex b had). It is
-    applied as 1 + (S - 1), with a - 1 and e - 1 from 1 - cos x = sin^2 x /
-    (1 + cos x), so that rounding scales with the step (_exact_steps). steps
-    sets only how finely _record samples the fields. Phase steps rotate c3.
+    a1' = -i kappa c3, c3' = -i kappa a1 - i d c3, and a cell h wide is one
+    exact rotation S = e [[a, b], [b, a*]] on (a1, c3), e = e^{-i d h/2},
+    (a, beta) from _rotations and b = i beta + 0.0 (+0 real parts, as a
+    complex b had). It is applied as 1 + (S - 1), with a - 1 and e - 1 from
+    1 - cos x = sin^2 x / (1 + cos x), so that rounding scales with the cell
+    (_exact_steps). Phase steps rotate c3. steps is ignored, kept for callers
+    of both modes; the trajectory's steps is the cell count.
     """
-    z, phi, sub, total = _plan(mismatch, kappa, steps)
-
-    dz, d, jumps = _widths_and_mismatch(mismatch.z, mismatch.phi)
-    h = dz / sub
+    z, phi = mismatch.z.tolist(), mismatch.phi.tolist()
+    h, d, jumps = _widths_and_mismatch(mismatch.z, mismatch.phi)
     a, beta = _rotations(float(kappa), d, h)
     e = np.exp(-0.5j * d * h)
-    if jumps:  # sub steps diag(1, e^{-i dphi / sub}): a phase step's h -> 0 limit
-        a[jumps[0]] = np.exp(0.5j * jumps[1] / sub)
+    if jumps:  # diag(1, e^{-i dphi}): a phase step's h -> 0 limit
+        a[jumps[0]] = np.exp(0.5j * jumps[1])
         e[jumps[0]] = a[jumps[0]].conj()
     am1 = 1j * a.imag - (a.imag ** 2 + beta ** 2) / (1.0 + a.real)
     em1 = 1j * e.imag - e.imag ** 2 / (1.0 + e.real)
     cells = list(zip((em1 * a + am1).tolist(), (e * (1j * beta + 0.0)).tolist(),
                      (em1 * a.conj() + am1.conj()).tolist()))
     state = (complex(initial.a1), complex(initial.a3) * cmath.exp(-1j * phi[0]))
-    return _record(z, phi, sub, total, _exact_steps, cells, state, initial)
+    return _record(z, phi, _exact_steps, cells, state, initial, len(cells))
 
 
 # Points x cells multiplied per pass of undepleted_efficiencies: at most
@@ -241,11 +229,10 @@ def undepleted_efficiencies(z, phi, coupling):
     return eta
 
 
-def _exact_steps(cells, sub, a1, c3):
-    """sub steps (a1, c3) += (S - 1)(a1, c3) per cell (p, q, r) of simulate_undepleted."""
+def _exact_steps(cells, a1, c3):
+    """(a1, c3) += (S - 1)(a1, c3) per cell (p, q, r) of simulate_undepleted."""
     for p, q, r in cells:
-        for _ in range(sub):
-            a1, c3 = a1 + (p * a1 + q * c3), c3 + (q * a1 + r * c3)
+        a1, c3 = a1 + (p * a1 + q * c3), c3 + (q * a1 + r * c3)
     return a1, c3
 
 
@@ -353,7 +340,8 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None):
     c3 = a3 e^{-i phi} each cell is autonomous, c3' = -i kt a1 a2 - i d c3
     with the cell's constant mismatch d (an integrating factor; Lawson, SIAM
     J. Numer. Anal. 4, 372, 1967). RK4 (_rk4) takes ceil(steps / cells) equal
-    steps per cell, at least steps in all; _record stops and resumes it.
+    steps per cell, at least steps in all (_plan), and _record runs it in
+    whole cells.
     """
     if initial is None or initial.a2 is None:
         raise PropagationError("depleted mode needs an explicit pump amplitude a2")
@@ -366,7 +354,7 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None):
     # Python complex throughout: one numpy scalar in the state triples the cost
     state = (complex(initial.a1), complex(initial.a2),
              complex(initial.a3) * cmath.exp(-1j * phi[0]))
-    return _record(z, phi, sub, total, _rk4, cells, state, initial)
+    return _record(z, phi, lambda c, *s: _rk4(c, sub, *s), cells, state, initial, total)
 
 
 # Ratios from which depleted_efficiencies integrates a sweep on arrays. A

@@ -139,12 +139,13 @@ def test_simulate_depleted_mode(tmp_path):
 
 @pytest.mark.parametrize("depleted", [False, True])
 def test_simulate_summary_records_steps_taken(tmp_path, depleted):
-    # 1500 steps on 1000 cells round up to 2 steps per cell
+    # 1500 RK4 steps on 1000 cells round up to 2 steps per cell; an
+    # undepleted run takes one exact rotation per cell
     cfg = write_config(tmp_path, {"simulation": {"steps": 1500, "depleted": depleted}})
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg, "--out", out]) == 0
     summary = json.loads(open(os.path.join(out, "simulate_summary.json")).read())
-    assert (summary["steps"], summary["steps_taken"]) == (1500, 2000)
+    assert (summary["steps"], summary["steps_taken"]) == (1500, 2000 if depleted else 1000)
 
 
 def test_simulate_missing_design_file(tmp_path):
@@ -342,14 +343,28 @@ def test_integer_and_boolean_keys_typed(tmp_path, capsys, block, key, value):
     ("bandwidth", {"lambda_min_um": 0.4, "lambda_max_um": 3.0},
      "sweeps.bandwidth.lambda_min_um"),
     ("bandwidth", {"lambda_min_um": 0.6}, "sweeps.bandwidth.lambda_min_um"),
+    # min < max, but the grid the sweep builds on the window repeats samples
+    ("length", {"min_mm": 1.0, "max_mm": 1.0000000000000002, "samples": 25},
+     "sweeps.length.min_mm, sweeps.length.max_mm, sweeps.length.samples"),
+    ("period", {"min_pct": 10.0, "max_pct": 10.000000000000002, "samples": 25},
+     "sweeps.period.min_pct, sweeps.period.max_pct, sweeps.period.samples"),
+    ("pump", {"min_pct": 10.0, "max_pct": 10.000000000000002, "samples": 25},
+     "sweeps.pump.min_pct, sweeps.pump.max_pct, sweeps.pump.samples"),
+    ("bandwidth", {"lambda_min_um": 3.0, "lambda_max_um": 3.0000000000000004, "samples": 25},
+     "sweeps.bandwidth.lambda_min_um, sweeps.bandwidth.lambda_max_um, "
+     "sweeps.bandwidth.samples"),
+    ("signal", {"ratio_min": 0.5, "ratio_max": 0.5000000000000001, "samples": 25},
+     "sweeps.signal.ratio_min, sweeps.signal.ratio_max, sweeps.signal.samples"),
 ])
 def test_bad_sweep_block_names_key(tmp_path, capsys, sweep, block, named):
-    # checked when the config loads: exit 2 naming the key, for any subcommand
+    # checked when the config loads: exit 2 naming the key, for any
+    # subcommand, before any output directory is made
     cfg = write_config(tmp_path, {"sweeps": {sweep: block}})
     for argv in (["sweep", sweep], ["design"]):
         assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_bad_sweep_block_under_design_file_names_key(tmp_path, capsys):

@@ -77,8 +77,8 @@ def test_rk4_measured_order():
 
 
 def test_frame_equivalence_constant_mismatch():
-    # exact co-rotating steps per profile cell vs a lab-frame RK4 with literal
-    # exp(+-i dk z) factors (3000 steps; the recorder rounds up to 4000)
+    # one exact co-rotating rotation per profile cell vs a lab-frame RK4 with
+    # literal exp(+-i dk z) factors in 3000 steps
     dk, kappa, steps = 5000.0, 3000.0, 3000
     profile = constant_mismatch(dk, L)
     traj = simulate_undepleted(profile, kappa, steps=steps)
@@ -129,9 +129,9 @@ def test_agrees_with_independent_integrator(design_dk):
 
 @pytest.mark.parametrize("case", ["constant", "chirp", "designed"])
 def test_recorder_matches_exact_propagator(case, design_dk):
-    # the recorder's sequential steps against the pairwise tree on the prefix
-    # of the profile that ends at every 5th record (5 steps per cell and a
-    # record every 10 steps: every 2nd node, so every 10th node here)
+    # the recorder's sequential rotations against the pairwise tree on the
+    # prefix of the profile that ends at every 5th record (4000 cells record
+    # every 2nd node, so every 10th node here)
     profile, coupling = {
         "constant": (constant_mismatch(5000.0, L), 3000.0),
         "chirp": (lz_linear_chirp(-2e4, 2e4, L), 4000.0),
@@ -257,10 +257,19 @@ def test_exact_propagator_edge_cases():
 
 def test_step_guard():
     profile = constant_mismatch(0.0, L)
-    with pytest.raises(PropagationError):
-        simulate_undepleted(profile, 40000.0, steps=20)
-    with pytest.raises(PropagationError):
-        simulate_undepleted(profile, 1000.0, steps=0)
+    for kappa, steps in ((40000.0, 20), (1000.0, 0)):
+        with pytest.raises(PropagationError):
+            simulate_depleted(profile, kappa, steps=steps, initial=FieldState(1.0, 0.0, 1.0))
+
+
+def test_undepleted_ignores_steps(design_dk):
+    # one exact rotation per cell whatever steps asks for, even one step in all
+    coupling = LAB_FRAME_COUPLING * design_dk.kappa
+    ref = simulate_undepleted(design_dk.mismatch, coupling)
+    traj = simulate_undepleted(design_dk.mismatch, coupling, steps=1)
+    assert traj.efficiency == ref.efficiency and traj.steps == ref.steps == 4000
+    for name in ("z", "a1", "a3"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name))
 
 
 def test_lz_profile_shape():
@@ -331,7 +340,7 @@ def test_depleted_matches_solve_ivp(design_dk, ratio):
     a3 = a3 * np.exp(1j * phi)  # back to the lab frame
     traj = simulate_design(design_dk, depleted=True, signal_pump_ratio=ratio)
     assert abs(traj.efficiency - abs(a3[-1]) ** 2 / ratio ** 2) <= 1e-10
-    # 5 steps per cell, recorded every 10 steps: at every other node
+    # 4000 cells of 5 steps each, recorded at every other node
     assert np.array_equal(traj.z, z[::2])
     for got, ref in ((traj.a1, a1), (traj.a2, a2), (traj.a3, a3)):
         assert np.abs(got - ref[::2]).max() <= 1e-10
@@ -339,10 +348,9 @@ def test_depleted_matches_solve_ivp(design_dk, ratio):
 
 @pytest.mark.parametrize("depleted", [False, True])
 def test_recording_never_changes_the_fields(design_dk, depleted, monkeypatch):
-    # 1500 steps on 1000 cells round up to 2 per cell, and 2000 steps record
-    # every step: the recorder stops inside every cell and resumes, and the
-    # final eta equals an unrecorded run to the bit
-    m = assemble_design(design_dk.kappa, design_dk.length, "deltak", grid_n=1001).mismatch
+    # 6002 cells record at every 3rd node and the last, which ends a block of
+    # 2 cells; the final eta equals an unrecorded run to the bit
+    m = assemble_design(design_dk.kappa, design_dk.length, "deltak", grid_n=6003).mismatch
     coupling = LAB_FRAME_COUPLING * design_dk.kappa
     calls, record = [], propagation._record
 
@@ -351,17 +359,17 @@ def test_recording_never_changes_the_fields(design_dk, depleted, monkeypatch):
         return record(*args)
     monkeypatch.setattr(propagation, "_record", spy)
     if depleted:
-        traj = simulate_depleted(m, coupling, steps=1500, initial=FieldState(0.8, 0.0, 1.0))
-        assert np.array_equal(depleted_efficiencies(m, coupling, [0.8], steps=1500),
+        traj = simulate_depleted(m, coupling, steps=6002, initial=FieldState(0.8, 0.0, 1.0))
+        assert np.array_equal(depleted_efficiencies(m, coupling, [0.8], steps=6002),
                               [traj.efficiency])
     else:
-        traj = simulate_undepleted(m, coupling, steps=1500)
-        _, _, sub, _, advance, cells, state, _ = calls[0]
-        assert advance is propagation._exact_steps and sub == 2
-        c3 = propagation._exact_steps(cells, sub, *state)[1]
+        traj = simulate_undepleted(m, coupling)
+        _, _, advance, cells, state, _, _ = calls[0]
+        assert advance is propagation._exact_steps
+        c3 = propagation._exact_steps(cells, *state)[1]
         assert abs(c3) ** 2 == traj.efficiency
-    assert traj.steps == 2000 and traj.z.size == 2001
-    assert np.array_equal(traj.z[::2], m.z)
+    assert traj.steps == 6002
+    assert np.array_equal(traj.z, np.append(m.z[::3], m.z[-1]))
 
 
 @pytest.mark.parametrize("design", ["design_dk", "design_k"])

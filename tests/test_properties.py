@@ -17,8 +17,9 @@ from qasfg.propagation import (FieldState, simulate_depleted, simulate_undeplete
                                undepleted_efficiencies)
 from qasfg.sensitivity import (KL_SEARCH_MAX, KL_SEARCH_MIN, SCAN_GRID_N, TARGETS, _q,
                                optimize_kappa, q_deltak, q_kappa)
-from qasfg.trajectory import (TrajectoryError, TrajectorySpec, _cumulative_simpson,
-                              _simpson, angle_profiles, delta_k_profile)
+from qasfg.trajectory import (MismatchProfile, TrajectoryError, TrajectorySpec,
+                              _cumulative_simpson, _simpson, angle_profiles,
+                              delta_k_profile)
 
 REF_LENGTH = 1e-3
 GRID = 1001
@@ -255,10 +256,23 @@ def test_depleted_steps_round_up_per_cell(length, kl, ratio):
     assert runs[0].efficiency == runs[1].efficiency
     for name in ("z", "a1", "a2", "a3"):
         assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
-    runs = [simulate_undepleted(mism, coupling, steps=steps) for steps in (19999, 20000)]
-    assert runs[0].efficiency == runs[1].efficiency
-    for name in ("z", "a1", "a3"):
-        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+
+
+@few
+@given(cells=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                                st.floats(-3.0, 3.0)), min_size=1, max_size=400),
+       kl=st.floats(0.0, 20.0))
+def test_recorded_undepleted_efficiency_is_the_tree(cells, kl):
+    # the recorder's one exact rotation per cell, zero-width cells (phase
+    # steps) included, gives the pairwise tree's eta within rounding
+    widths, dphi = np.array(cells).T
+    z = REF_LENGTH * np.concatenate([[0.0], np.cumsum(widths)]) / len(cells)
+    phi = np.concatenate([[0.0], np.cumsum(dphi)])
+    profile = MismatchProfile(z=z, delta_k=np.zeros_like(z), phi=phi, kappa=np.nan,
+                              length=REF_LENGTH)
+    coupling = kl / REF_LENGTH
+    assert abs(simulate_undepleted(profile, coupling).efficiency
+               - undepleted_efficiencies(z, phi, coupling)[0]) <= 1e-13
 
 
 @few
