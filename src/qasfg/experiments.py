@@ -269,8 +269,9 @@ def efficiency_vs_length(lengths, target="deltak", grid_n=4001, steps=20000,
 def signal_intensity_sweep(design, ratio_min=0.01, ratio_max=1.0, samples=41,
                            steps=20000, workers=1):
     """Depleted-pump efficiency vs signal/pump flux-amplitude ratio, by
-    depleted_efficiencies: simulate_depleted's RK4 on each point alone in a
-    short sweep, on arrays of all points in a long one; workers is ignored."""
+    depleted_efficiencies: RK4 on the Manley-Rowe-reduced system, each point
+    alone in a short sweep, arrays of all points in a long one; workers is
+    ignored."""
     if not 0.0 < ratio_min < math.inf:
         raise ValueError("ratio_min must be positive and finite (zero signal has no "
                          f"efficiency), got {ratio_min!r}")

@@ -10,10 +10,11 @@ pairwise tree, and trajectories apply it cell by cell to record the fields.
 
 Depleted pump: the photon-flux-normalized three-wave system, which conserves
 the Manley-Rowe combinations exactly and reduces to the pair above as the
-signal/pump ratio vanishes; with no closed form, it is integrated by one
-RK4 scheme in two kernels: _rk4 on one point's Python complex state, which
-trajectories and short sweeps take, and _rk4_stacked on a (3, P) array of
-all the ratios of a long sweep.
+signal/pump ratio vanishes; with no closed form, it is integrated by RK4.
+Trajectories step one point's complex state (_rk4). Signal sweeps launch
+(r, 1, 0), which the Manley-Rowe invariants reduce to one real equation for
+|c3|^2 (_reduced_rk4), stepped on one ratio's Python floats in a short sweep
+and on an array of all the ratios in a long one.
 """
 
 import cmath
@@ -82,6 +83,12 @@ def _check_steps(steps, kappa, delta_k, length):
             f"{max(required, 10)} (10 steps per 2*pi)")
 
 
+def _check_coupling(name, value):
+    """Reject a NaN or infinite coupling before any work."""
+    if not np.isfinite(value).all():
+        raise PropagationError(f"{name} must be finite, got {value}")
+
+
 def _plan(mismatch, kappa, steps):
     """The depleted step policy: check steps, take sub = ceil(steps / cells)
     equal RK4 steps in every profile cell, total in all."""
@@ -148,6 +155,7 @@ def simulate_undepleted(mismatch, kappa, steps=20000, initial=FieldState()):
     (_exact_steps). Phase steps rotate c3. steps is ignored, kept for callers
     of both modes; the trajectory's steps is the cell count.
     """
+    _check_coupling("kappa", kappa)
     z, phi = mismatch.z.tolist(), mismatch.phi.tolist()
     h, d, jumps = _widths_and_mismatch(mismatch.z, mismatch.phi)
     a, beta = _rotations(float(kappa), d, h)
@@ -209,6 +217,7 @@ def undepleted_efficiencies(z, phi, coupling):
     _pass_points points stop at _TAIL_CELLS cells, and all P share the last
     levels. A point's result is bit-identical in any batch or order. A
     zero-width cell's phase step dphi is its h -> 0 limit diag(e^{i dphi/2}, c.c.)."""
+    _check_coupling("coupling", coupling)
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     z = np.broadcast_to(np.asarray(z, dtype=float), phi.shape)
     coupling = np.broadcast_to(np.asarray(coupling, dtype=float), phi.shape[:1])
@@ -267,65 +276,6 @@ def _rk4(cells, sub, a1, a2, c3):
     return a1, a2, c3
 
 
-def _rk4_stacked(cells, sub, X):
-    """_rk4's steps on the states of P points at once: X = [a1, a2, c3], a
-    (3, P) complex array, advanced in place. A stage with state t has the
-    slope f [c3 t2*, c3 t1*, t1 t2 + (D/K) c3], f = Kh, Kh, K or K/6, formed
-    in buffers built once: one conjugate of the reversed rows [t2, t1] and
-    one multiply of [t2*, t1*, D/K] by c3 give all three rows. f and 1/3 are
-    filled arrays, because numpy multiplies two contiguous arrays at about
-    half the cost of an array and a scalar. Every K must be non-zero and
-    every D/K finite."""
-    T, C, tmp = np.empty_like(X), np.empty_like(X), np.empty_like(X[0])
-    F1, F2, F3, F4 = F = np.empty((4,) + X.shape, complex)  # the stages' slopes
-    g1, g2, g3, g4 = F[:, 2]  # their c3 rows
-    fh, fk, f6, third = np.empty((4,) + X.shape, complex)  # Kh, K, K/6 and 1/3
-    third.fill(1.0 / 3.0)
-    conj, mul, add = np.conjugate, np.multiply, np.add
-    (xr, x1, x2, x3), (tr, t1, t2, t3) = ((Y[1::-1], *Y) for Y in (X, T))
-    c12 = C[:2]
-    for K, D in cells:
-        C[2] = D / K
-        fh.fill(0.5 * K)
-        fk.fill(K)
-        f6.fill(K / 6.0)
-        for _ in range(sub):
-            conj(xr, c12)
-            mul(C, x3, F1)
-            mul(x1, x2, tmp)
-            add(g1, tmp, g1)
-            mul(F1, fh, F1)
-            add(X, F1, T)
-
-            conj(tr, c12)
-            mul(C, t3, F2)
-            mul(t1, t2, tmp)
-            add(g2, tmp, g2)
-            mul(F2, fh, F2)
-            add(X, F2, T)
-
-            conj(tr, c12)
-            mul(C, t3, F3)
-            mul(t1, t2, tmp)
-            add(g3, tmp, g3)
-            mul(F3, fk, F3)
-            add(X, F3, T)
-
-            conj(tr, c12)
-            mul(C, t3, F4)
-            mul(t1, t2, tmp)
-            add(g4, tmp, g4)
-            mul(F4, f6, F4)
-            # X += (F1 + 2 F2 + F3) / 3 + F4, with 2 F2 as F2 + F2
-            add(F2, F2, F2)
-            add(F1, F2, F1)
-            add(F1, F3, F1)
-            mul(F1, third, F1)
-            add(F1, F4, F1)
-            add(X, F1, X)
-    return X
-
-
 def simulate_depleted(mismatch, kappa, steps=20000, initial=None):
     """Integrate the flux-normalized three-wave system with pump depletion,
 
@@ -343,6 +293,7 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None):
     steps per cell, at least steps in all (_plan), and _record runs it in
     whole cells.
     """
+    _check_coupling("kappa", kappa)
     if initial is None or initial.a2 is None:
         raise PropagationError("depleted mode needs an explicit pump amplitude a2")
     if not all(np.isfinite([abs(initial.a1), abs(initial.a2), abs(initial.a3)])):
@@ -357,41 +308,77 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None):
     return _record(z, phi, lambda c, *s: _rk4(c, sub, *s), cells, state, initial, total)
 
 
-# Ratios from which depleted_efficiencies integrates a sweep on arrays. A
-# stacked RK4 step is 29 numpy calls whatever the batch size, and costs about
-# as much as 8 scalar steps (measured in DECISIONS.md).
-_BATCH_POINTS = 9
-# Ratios per stacked pass: about 600 kB of buffers whatever the sweep's size.
+def _reduced_rk4(z, phi, kt, sub, r2):
+    """u(L) = |c3(L)|^2 of the launch (a1, a2, c3) = (r, 1, 0), r2 = r^2, by
+    sub RK4 steps per cell on the Manley-Rowe-reduced system (Armstrong et al.,
+    Phys. Rev. 127, 1918, 1962): |a1|^2 = r2 - u and |a2|^2 = 1 - u, and in a
+    cell of mismatch d, g = 2 kt Re(a1 a2 c3*) + d u is conserved, so
+
+        u'' = 2 kt^2 r2 + d g - (4 kt^2 (r2 + 1) + d^2) u + 6 kt^2 u^2.
+
+    a1 a2 c3* and u' are continuous at a node, where g += (d_new - d_old) u.
+    The state is (u, s = h u'), s rescaled to each cell's step h, and a stage
+    at u has the slope G = h^2 u'' / 6 = ga + u (gc u - gb). Only +, * and /:
+    r2 is one ratio's float or an array of ratios, with bit-identical u."""
+    k2 = kt * kt
+    drive, lin = (k2 + k2) * r2, 4.0 * k2 * (r2 + 1.0)
+    u = s = g = d0 = 0.0
+    h0 = (z[1] - z[0]) / sub
+    for j in range(len(z) - 1):
+        w = z[j + 1] - z[j]
+        d, h = (phi[j + 1] - phi[j]) / w, w / sub
+        g = g + (d - d0) * u
+        s = s * (h / h0)
+        hh = h * h
+        e, gc = hh / 6.0, hh * k2
+        ga, gb = e * (drive + d * g), e * (lin + d * d)
+        for _ in range(sub):
+            g1 = ga + u * (gc * u - gb)
+            u2 = u + 0.5 * s
+            g2 = ga + u2 * (gc * u2 - gb)
+            u3 = u2 + 1.5 * g1
+            g3 = ga + u3 * (gc * u3 - gb)
+            u4 = u + (s + 3.0 * g2)
+            g4 = ga + u4 * (gc * u4 - gb)
+            # RK4's weights: u += s + G1 + G2 + G3, s += G1 + 2 G2 + 2 G3 + G4
+            m = g2 + g3
+            p = g1 + m
+            u = u + (s + p)
+            s = s + (p + m + g4)
+        d0, h0 = d, h
+    return u
+
+
+# Ratios from which depleted_efficiencies integrates a sweep on arrays: a
+# _reduced_rk4 step costs about 0.4 us per ratio on floats, and 13-14 us on
+# an array of up to 41 ratios, 30 numpy calls (measured in DECISIONS.md).
+_BATCH_POINTS = 36
+# Ratios per array pass: 8 kB per temporary whatever the sweep's size.
 _BATCH_BLOCK = 1024
 
 
 def depleted_efficiencies(mismatch, kappa, ratios, steps=20000):
     """Depleted-pump efficiencies |a3(L)|^2 / r^2 of the signal/pump flux
-    amplitude ratios r, each launched as (a1, a2, a3) = (r, 1, 0) and
-    integrated by simulate_depleted's RK4, whose cell constants are built once.
-    Below _BATCH_POINTS ratios each runs alone on Python complex state (_rk4),
-    bit-identical to simulate_depleted. From _BATCH_POINTS on they run
-    together on arrays (_rk4_stacked), _BATCH_BLOCK at a time: within 1.5e-15
-    of the scalar runs on the designs measured (DECISIONS.md), and a ratio's
-    result is bit-identical in any batch or order. Where a cell has no finite
-    D/K (zero coupling, a zero-width cell, or a coupling so weak that D/K
-    overflows) every ratio runs alone."""
+    amplitude ratios r, each launched as (a1, a2, a3) = (r, 1, 0), under
+    simulate_depleted's step policy (_plan) but on the reduced real system
+    (_reduced_rk4), within 1e-12 of simulate_depleted at 1 step per cell
+    (DECISIONS.md). Below _BATCH_POINTS ratios each runs alone on Python
+    floats; from _BATCH_POINTS on they run together on arrays, _BATCH_BLOCK
+    at a time, and a ratio's result is bit-identical in any batch or order.
+    A profile with a zero-width cell, whose phase step the reduction cannot
+    carry, runs simulate_depleted's _rk4 per ratio."""
+    _check_coupling("kappa", kappa)
     ratios = np.atleast_1d(np.asarray(ratios, dtype=float))
     if not np.all(np.isfinite(ratios)):
         raise PropagationError("non-finite signal/pump ratios")
     z, phi, sub, _ = _plan(mismatch, kappa, steps)
-    cells = _depleted_cells(z, phi, float(kappa), sub)
-    c3 = 0j * cmath.exp(-1j * phi[0])
-    if ratios.size < _BATCH_POINTS or not all(K and cmath.isfinite(D / K)
-                                              for K, D in cells):
-        ends = [_rk4(cells, sub, complex(r), 1.0 + 0j, c3)[2] for r in ratios.tolist()]
+    kt, r2 = float(kappa), ratios * ratios
+    if np.any(np.diff(mismatch.z) == 0):
+        cells = _depleted_cells(z, phi, kt, sub)
+        u = [abs(_rk4(cells, sub, complex(r), 1.0 + 0j, 0j)[2]) ** 2 for r in ratios.tolist()]
+    elif r2.size < _BATCH_POINTS:
+        u = [_reduced_rk4(z, phi, kt, sub, q) for q in r2.tolist()]
     else:
-        ends = []
-        for s in range(0, ratios.size, _BATCH_BLOCK):
-            r = ratios[s:s + _BATCH_BLOCK]
-            X = np.array([r.astype(complex), np.full(r.shape, 1.0 + 0j),
-                          np.full(r.shape, c3)])
-            ends += _rk4_stacked(cells, sub, X)[2].tolist()
-    # in Python, as _record forms it: numpy's vector abs may round differently
-    return np.array([0.0 if r == 0 else abs(c) ** 2 / abs(r) ** 2
-                     for r, c in zip(ratios.tolist(), ends)])
+        u = np.concatenate([_reduced_rk4(z, phi, kt, sub, r2[s:s + _BATCH_BLOCK])
+                            for s in range(0, r2.size, _BATCH_BLOCK)])
+    return np.divide(u, r2, out=np.zeros_like(r2), where=r2 != 0)

@@ -340,6 +340,9 @@ def test_depleted_matches_solve_ivp(design_dk, ratio):
     a3 = a3 * np.exp(1j * phi)  # back to the lab frame
     traj = simulate_design(design_dk, depleted=True, signal_pump_ratio=ratio)
     assert abs(traj.efficiency - abs(a3[-1]) ** 2 / ratio ** 2) <= 1e-10
+    # the sweep's reduced real system, at the same 20000 steps
+    swept = depleted_efficiencies(design_dk.mismatch, kt, [ratio], steps=20000)[0]
+    assert abs(swept - abs(a3[-1]) ** 2 / ratio ** 2) <= 1e-10
     # 4000 cells of 5 steps each, recorded at every other node
     assert np.array_equal(traj.z, z[::2])
     for got, ref in ((traj.a1, a1), (traj.a2, a2), (traj.a3, a3)):
@@ -360,8 +363,9 @@ def test_recording_never_changes_the_fields(design_dk, depleted, monkeypatch):
     monkeypatch.setattr(propagation, "_record", spy)
     if depleted:
         traj = simulate_depleted(m, coupling, steps=6002, initial=FieldState(0.8, 0.0, 1.0))
-        assert np.array_equal(depleted_efficiencies(m, coupling, [0.8], steps=6002),
-                              [traj.efficiency])
+        _, _, _, cells, state, _, _ = calls[0]
+        c3 = propagation._rk4(cells, 1, *state)[2]  # 6002 steps: 1 per cell
+        assert abs(c3) ** 2 / abs(0.8) ** 2 == traj.efficiency
     else:
         traj = simulate_undepleted(m, coupling)
         _, _, advance, cells, state, _, _ = calls[0]
@@ -374,8 +378,9 @@ def test_recording_never_changes_the_fields(design_dk, depleted, monkeypatch):
 
 @pytest.mark.parametrize("design", ["design_dk", "design_k"])
 def test_batched_sweep_matches_simulate_depleted(design, request):
-    # below _BATCH_POINTS ratios a sweep runs each one alone, bit-identical to
-    # simulate_depleted; from there on, together on arrays, within rounding
+    # a sweep integrates the reduced real system, alone on floats below
+    # _BATCH_POINTS ratios and together on arrays from there on: at 1 step per
+    # cell both are within 1e-12 of simulate_depleted's complex RK4
     design = request.getfixturevalue(design)
     coupling = LAB_FRAME_COUPLING * design.kappa
     for samples in (_BATCH_POINTS - 1, _BATCH_POINTS, 41):
@@ -385,9 +390,7 @@ def test_batched_sweep_matches_simulate_depleted(design, request):
         alone = np.array([simulate_depleted(
             design.mismatch, coupling, steps=4000,
             initial=FieldState(r, 0.0, 1.0)).efficiency for r in ratios])
-        if samples < _BATCH_POINTS:
-            assert np.array_equal(etas, alone)
-        assert np.abs(etas - alone).max() <= 1e-14
+        assert np.abs(etas - alone).max() <= 1e-12
         # no more signal photons converted than there are pump photons
         assert np.all(etas * ratios ** 2 <= 1.0 + 1e-12)
 
@@ -403,6 +406,50 @@ def test_batched_efficiencies_batch_independent(design_dk, monkeypatch):
     for i in (0, 20, 40):
         assert np.array_equal(depleted_efficiencies(m, coupling, ratios[i:i + 1], steps=4000),
                               batch[i:i + 1])
+
+
+@pytest.mark.parametrize("grid", ["uniform", "geometric"])
+def test_float_and_array_paths_are_bit_identical(design_dk, grid, monkeypatch):
+    # one ratio's floats and an array of ratios run the same _reduced_rk4, so
+    # a ratio's eta has the same bits on either path, in any order or block;
+    # on the 1 mm design at 1 step per cell, and on a geometric grid, whose
+    # widest cells need 10 steps, within 1e-12 of _rk4
+    m, coupling = design_dk.mismatch, LAB_FRAME_COUPLING * design_dk.kappa
+    steps = 4000
+    if grid == "geometric":
+        z = (np.geomspace(1.0, 1001.0, 2001) - 1.0) * (L / 1000.0)
+        m = MismatchProfile(z=z, delta_k=np.interp(z, m.z, m.delta_k),
+                            phi=np.interp(z, m.z, m.phi), kappa=np.nan, length=z[-1])
+        steps = 20000
+    ratios = np.linspace(0.05, 1.2, 7)
+    monkeypatch.setattr(propagation, "_BATCH_POINTS", 10 ** 6)
+    floats = depleted_efficiencies(m, coupling, ratios, steps=steps)
+    monkeypatch.setattr(propagation, "_BATCH_POINTS", 1)
+    assert np.array_equal(depleted_efficiencies(m, coupling, ratios, steps=steps), floats)
+    assert np.array_equal(depleted_efficiencies(m, coupling, ratios[::-1], steps=steps),
+                          floats[::-1])
+    monkeypatch.setattr(propagation, "_BATCH_BLOCK", 3)
+    assert np.array_equal(depleted_efficiencies(m, coupling, ratios, steps=steps), floats)
+    for i in (0, 3, 6):
+        alone = simulate_depleted(m, coupling, steps=steps,
+                                  initial=FieldState(ratios[i], 0.0, 1.0))
+        assert abs(floats[i] - alone.efficiency) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coupling_is_rejected(bad):
+    # every propagator names the coupling before any work, rather than
+    # returning NaN or failing inside its step check
+    profile = constant_mismatch(0.0, L, grid_n=11)
+    with pytest.raises(PropagationError, match="kappa must be finite"):
+        simulate_undepleted(profile, bad)
+    with pytest.raises(PropagationError, match="kappa must be finite"):
+        simulate_depleted(profile, bad, initial=FieldState(0.5, 0.0, 1.0))
+    with pytest.raises(PropagationError, match="kappa must be finite"):
+        depleted_efficiencies(profile, bad, [0.5])
+    for coupling in (bad, [1.3 / L, bad]):
+        with pytest.raises(PropagationError, match="coupling must be finite"):
+            undepleted_efficiencies(profile.z, [profile.phi, profile.phi], coupling)
 
 
 def test_depleted_efficiencies_edge_cases(monkeypatch):
@@ -438,8 +485,9 @@ def test_depleted_efficiencies_zero_coupling_and_zero_ratio(design_dk, monkeypat
 
 
 def test_batched_kernel_skips_cells_without_a_finite_fold(monkeypatch):
-    # a zero-width cell (K = 0), or a coupling so weak that some D/K overflows,
-    # has no (D/K) row: such a sweep runs on the scalar path
+    # the reduced system cannot carry a zero-width cell's phase step, so such
+    # a sweep runs _rk4 per ratio at any size; a coupling so weak that its
+    # square underflows converts nothing, on floats and arrays alike
     z = np.array([0.0, 0.25, 0.5, 0.5, 1.0]) * L
     phi = 3000.0 * z
     profile = MismatchProfile(z=z, delta_k=np.full(5, 3000.0), phi=phi, kappa=np.nan,
