@@ -77,6 +77,8 @@ class SweepResult:
     def __post_init__(self):
         if np.any(np.diff(self.values) <= 0):
             raise ValueError("sweep samples must be strictly increasing")
+        if not np.all(np.isfinite(self.efficiencies)):  # NaN passes the range check
+            raise ValueError("non-finite efficiency")
         if np.any(self.efficiencies < 0) or np.any(self.efficiencies > 1 + 1e-6):
             raise ValueError("efficiency outside [0, 1 + 1e-6]")
 
@@ -269,9 +271,8 @@ def efficiency_vs_length(lengths, target="deltak", grid_n=4001, steps=20000,
 def signal_intensity_sweep(design, ratio_min=0.01, ratio_max=1.0, samples=41,
                            steps=20000, workers=1):
     """Depleted-pump efficiency vs signal/pump flux-amplitude ratio, by
-    depleted_efficiencies: RK4 on the Manley-Rowe-reduced system, each point
-    alone in a short sweep, arrays of all points in a long one; workers is
-    ignored."""
+    depleted_efficiencies: Taylor steps on the Manley-Rowe-reduced system,
+    sized by each ratio's own rotation. steps and workers are ignored."""
     if not 0.0 < ratio_min < math.inf:
         raise ValueError("ratio_min must be positive and finite (zero signal has no "
                          f"efficiency), got {ratio_min!r}")
@@ -282,8 +283,7 @@ def signal_intensity_sweep(design, ratio_min=0.01, ratio_max=1.0, samples=41,
     if samples > 1 and ratio_max <= ratio_min:
         raise ValueError(f"need ratio_min < ratio_max, got {ratio_min!r} and {ratio_max!r}")
     ratios = np.linspace(ratio_min, ratio_max, samples)
-    etas = depleted_efficiencies(design.mismatch, LAB_FRAME_COUPLING * design.kappa,
-                                 ratios, steps=steps)
+    etas = depleted_efficiencies(design.mismatch, LAB_FRAME_COUPLING * design.kappa, ratios)
     flat = ratios[etas >= 0.99]
     summary = {"eta_at_max_ratio": float(etas[-1]),
                "flat_region_max_ratio": float(flat.max()) if flat.size else 0.0}

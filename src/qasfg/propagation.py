@@ -10,11 +10,10 @@ pairwise tree, and trajectories apply it cell by cell to record the fields.
 
 Depleted pump: the photon-flux-normalized three-wave system, which conserves
 the Manley-Rowe combinations exactly and reduces to the pair above as the
-signal/pump ratio vanishes; with no closed form, it is integrated by RK4.
-Trajectories step one point's complex state (_rk4). Signal sweeps launch
-(r, 1, 0), which the Manley-Rowe invariants reduce to one real equation for
-|c3|^2 (_reduced_rk4), stepped on one ratio's Python floats in a short sweep
-and on an array of all the ratios in a long one.
+signal/pump ratio vanishes. Trajectories step one point's complex state by
+RK4 (_rk4). Signal sweeps launch (r, 1, 0), which the Manley-Rowe invariants
+reduce to one real equation for |c3|^2, integrated by Taylor steps sized by
+each ratio's own rotation (_reduced_taylor) on floats or arrays of ratios.
 """
 
 import cmath
@@ -72,17 +71,6 @@ def lz_linear_chirp(dk_start, dk_end, length, grid_n=4001):
     return MismatchProfile(z=z, delta_k=dk, phi=phi, kappa=np.nan, length=length)
 
 
-def _check_steps(steps, kappa, delta_k, length):
-    """Reject RK4 step counts that under-resolve the fastest phase rotation."""
-    cycles = (np.max(np.abs(delta_k)) * length
-              + 2.0 * abs(kappa) * length) / (2.0 * np.pi)
-    required = int(np.ceil(10.0 * cycles))
-    if steps < max(required, 10):
-        raise PropagationError(
-            f"steps={steps} under-resolves the phase rotation; need at least "
-            f"{max(required, 10)} (10 steps per 2*pi)")
-
-
 def _check_coupling(name, value):
     """Reject a NaN or infinite coupling before any work."""
     if not np.isfinite(value).all():
@@ -90,9 +78,14 @@ def _check_coupling(name, value):
 
 
 def _plan(mismatch, kappa, steps):
-    """The depleted step policy: check steps, take sub = ceil(steps / cells)
-    equal RK4 steps in every profile cell, total in all."""
-    _check_steps(steps, kappa, mismatch.delta_k, mismatch.length)
+    """simulate_depleted's step policy: at least 10 RK4 steps per 2 pi of the
+    fastest phase rotation, and sub = ceil(steps / cells) per cell, total in all."""
+    cycles = (np.max(np.abs(mismatch.delta_k)) * mismatch.length
+              + 2.0 * abs(kappa) * mismatch.length) / (2.0 * np.pi)
+    required = max(int(np.ceil(10.0 * cycles)), 10)
+    if steps < required:
+        raise PropagationError(f"steps={steps} under-resolves the phase rotation; need "
+                               f"at least {required} (10 steps per 2*pi)")
     z, phi = mismatch.z.tolist(), mismatch.phi.tolist()
     sub = -(-steps // (len(z) - 1))
     return z, phi, sub, sub * (len(z) - 1)
@@ -245,16 +238,9 @@ def _exact_steps(cells, a1, c3):
     return a1, c3
 
 
-def _depleted_cells(z, phi, kt, sub):
-    """(K, D) = (-i kt h, -i d h) of each profile cell: its RK4 step h, sub
-    per cell, and its constant mismatch d."""
-    return [(-1j * kt * (z[j + 1] - z[j]) / sub, -1j * (phi[j + 1] - phi[j]) / sub)
-            for j in range(len(z) - 1)]
-
-
 def _rk4(cells, sub, a1, a2, c3):
     """Advance the co-rotating depleted state (a1, a2, c3), Python complex, by
-    sub RK4 steps in each of cells, (K, D) pairs from _depleted_cells."""
+    sub RK4 steps in each of cells, (K, D) = (-i kt h, -i d h) of a step h."""
     for K, D in cells:
         Kh, Dh = 0.5 * K, 0.5 * D  # half steps
         for _ in range(sub):
@@ -299,86 +285,100 @@ def simulate_depleted(mismatch, kappa, steps=20000, initial=None):
     if not all(np.isfinite([abs(initial.a1), abs(initial.a2), abs(initial.a3)])):
         raise PropagationError("non-finite initial amplitudes")
     z, phi, sub, total = _plan(mismatch, kappa, steps)
-
     kt = float(kappa / abs(initial.a2) if initial.a2 else kappa)
-    cells = _depleted_cells(z, phi, kt, sub)
+    cells = [(-1j * kt * (z[j + 1] - z[j]) / sub, -1j * (phi[j + 1] - phi[j]) / sub)
+             for j in range(len(z) - 1)]
     # Python complex throughout: one numpy scalar in the state triples the cost
     state = (complex(initial.a1), complex(initial.a2),
              complex(initial.a3) * cmath.exp(-1j * phi[0]))
     return _record(z, phi, lambda c, *s: _rk4(c, sub, *s), cells, state, initial, total)
 
 
-def _reduced_rk4(z, phi, kt, sub, r2):
-    """u(L) = |c3(L)|^2 of the launch (a1, a2, c3) = (r, 1, 0), r2 = r^2, by
-    sub RK4 steps per cell on the Manley-Rowe-reduced system (Armstrong et al.,
-    Phys. Rev. 127, 1918, 1962): |a1|^2 = r2 - u and |a2|^2 = 1 - u, and in a
-    cell of mismatch d, g = 2 kt Re(a1 a2 c3*) + d u is conserved, so
+# Signal sweeps (measured in DECISIONS.md): the largest phase in rad of a Taylor
+# step; the most steps per cell, 4 million a ratio at 4001 nodes; the ratios of
+# one step count from which they run on arrays, where a cell costs 28-30 us,
+# against 0.7 us per ratio on floats; and ratios per array pass (8 kB arrays).
+_TAYLOR_PHASE, _MAX_CELL_STEPS, _BATCH_POINTS, _BATCH_BLOCK = 0.01, 1000, 42, 1024
 
-        u'' = 2 kt^2 r2 + d g - (4 kt^2 (r2 + 1) + d^2) u + 6 kt^2 u^2.
 
-    a1 a2 c3* and u' are continuous at a node, where g += (d_new - d_old) u.
-    The state is (u, s = h u'), s rescaled to each cell's step h, and a stage
-    at u has the slope G = h^2 u'' / 6 = ga + u (gc u - gb). Only +, * and /:
-    r2 is one ratio's float or an array of ratios, with bit-identical u."""
-    k2 = kt * kt
-    drive, lin = (k2 + k2) * r2, 4.0 * k2 * (r2 + 1.0)
-    u = s = g = d0 = 0.0
-    h0 = (z[1] - z[0]) / sub
-    for j in range(len(z) - 1):
-        w = z[j + 1] - z[j]
-        d, h = (phi[j + 1] - phi[j]) / w, w / sub
-        g = g + (d - d0) * u
-        s = s * (h / h0)
-        hh = h * h
-        e, gc = hh / 6.0, hh * k2
-        ga, gb = e * (drive + d * g), e * (lin + d * d)
-        for _ in range(sub):
-            g1 = ga + u * (gc * u - gb)
-            u2 = u + 0.5 * s
-            g2 = ga + u2 * (gc * u2 - gb)
-            u3 = u2 + 1.5 * g1
-            g3 = ga + u3 * (gc * u3 - gb)
-            u4 = u + (s + 3.0 * g2)
-            g4 = ga + u4 * (gc * u4 - gb)
-            # RK4's weights: u += s + G1 + G2 + G3, s += G1 + 2 G2 + 2 G3 + G4
-            m = g2 + g3
-            p = g1 + m
-            u = u + (s + p)
-            s = s + (p + m + g4)
-        d0, h0 = d, h
+def _taylor_cells(h, d, jumps, kt, n):
+    """_reduced_taylor's runs of cells between phase steps at n steps per cell:
+    columns (jump of d, ratio of steps, 6 kt^2 h^2, h^2 d, h^2 d^2), then the
+    phase step's (cos, sin) and the d and h it follows (0 and 1 start a run)."""
+    h = h / n
+    e, prev_d, prev_h = h * h * d, np.append(0.0, d[:-1]), np.append(1.0, h[:-1])
+    prev_h[prev_h == 0] = 1.0
+    cols = [d - prev_d, h / prev_h, 6.0 * kt * kt * h * h, e, e * d]
+    edges, dphi = np.flatnonzero(h == 0), jumps[1] if jumps else np.empty(0)
+    turns = np.stack([np.cos(dphi), np.sin(dphi), prev_d[edges], prev_h[edges]], axis=1)
+    bounds = zip(np.append(0, edges + 1).tolist(), np.append(edges, h.size).tolist())
+    return [([c[i:j].tolist() for c in cols], turn)
+            for (i, j), turn in zip(bounds, turns.tolist() + [None])]
+
+
+def _reduced_taylor(runs, n, r2):
+    """u(L) = |c3(L)|^2 of the launch (r, 1, 0), r2 = r^2, by n sixth-order
+    Taylor steps per cell on the Manley-Rowe-reduced system (Armstrong et al.,
+    1962; DECISIONS.md). With g = 2 kt Re(a1 a2 c3*) + d u, C = 6 kt^2 h^2,
+    a = r2 / 3 and b = (r2 + 1) / 1.5, a step h wide, z = h t, solves
+        d^2u/dt^2 = C a + h^2 d g - (C b + h^2 d^2) u + C u^2
+    by the recurrence of its Taylor coefficients (Corliss & Chang, 1982). A node
+    adds (d_new - d_old) u to g and rescales s = h u'; a phase step dphi rotates
+    (g - d u, u') by e^{i dphi}. Only +, * and /: a float r2 and an array of
+    ratios give bit-identical u."""
+    a, b, u, s, g = r2 / 3.0, (r2 + 1.0) / 1.5, 0.0, 0.0, 0.0
+    steps = (None,) * n  # cheaper per cell than a range
+    for cells, turn in runs:
+        for dd, rho, c, e, f in zip(*cells):
+            g = g + dd * u
+            s = s * rho
+            p, m, c2 = c * a + e * g, c * b + f, c + c  # u'' = p - m u + c u^2
+            for _ in steps:
+                u2 = 0.5 * (p + u * (c * u - m))
+                q = c2 * u - m
+                u3 = q * s / 6.0
+                u4 = (q * u2 + c * s * s) / 12.0
+                u5 = (q * u3 + c2 * s * u2) / 20.0
+                u6 = (q * u4 + c * ((s + s) * u3 + u2 * u2)) / 30.0
+                u = u + (s + (u2 + (u3 + (u4 + (u5 + u6)))))
+                s = s + ((u2 + u2) + (3.0 * u3 + (4.0 * u4 + (5.0 * u5 + 6.0 * u6))))
+        if turn:
+            cos, sin, d, h = turn
+            x, y = g - d * u, s / h
+            g, s = cos * x - sin * y, sin * x + cos * y
     return u
-
-
-# Ratios from which depleted_efficiencies integrates a sweep on arrays: a
-# _reduced_rk4 step costs about 0.4 us per ratio on floats, and 13-14 us on
-# an array of up to 41 ratios, 30 numpy calls (measured in DECISIONS.md).
-_BATCH_POINTS = 36
-# Ratios per array pass: 8 kB per temporary whatever the sweep's size.
-_BATCH_BLOCK = 1024
 
 
 def depleted_efficiencies(mismatch, kappa, ratios, steps=20000):
     """Depleted-pump efficiencies |a3(L)|^2 / r^2 of the signal/pump flux
-    amplitude ratios r, each launched as (a1, a2, a3) = (r, 1, 0), under
-    simulate_depleted's step policy (_plan) but on the reduced real system
-    (_reduced_rk4), within 1e-12 of simulate_depleted at 1 step per cell
-    (DECISIONS.md). Below _BATCH_POINTS ratios each runs alone on Python
-    floats; from _BATCH_POINTS on they run together on arrays, _BATCH_BLOCK
-    at a time, and a ratio's result is bit-identical in any batch or order.
-    A profile with a zero-width cell, whose phase step the reduction cannot
-    carry, runs simulate_depleted's _rk4 per ratio."""
+    amplitude ratios r, each launched as (a1, a2, a3) = (r, 1, 0), by
+    _reduced_taylor at n(r) = max(1, ceil(max_j h_j sqrt(4 kappa^2 (1 + r^2) +
+    d_j^2) / _TAYLOR_PHASE)) steps per cell, checked for every ratio first.
+    Ratios of one n run alone on Python floats below _BATCH_POINTS, and on
+    arrays, _BATCH_BLOCK at a time, from there on: a ratio's result is
+    bit-identical in any batch, order or block. steps is ignored."""
     _check_coupling("kappa", kappa)
     ratios = np.atleast_1d(np.asarray(ratios, dtype=float))
     if not np.all(np.isfinite(ratios)):
         raise PropagationError("non-finite signal/pump ratios")
-    z, phi, sub, _ = _plan(mismatch, kappa, steps)
-    kt, r2 = float(kappa), ratios * ratios
-    if np.any(np.diff(mismatch.z) == 0):
-        cells = _depleted_cells(z, phi, kt, sub)
-        u = [abs(_rk4(cells, sub, complex(r), 1.0 + 0j, 0j)[2]) ** 2 for r in ratios.tolist()]
-    elif r2.size < _BATCH_POINTS:
-        u = [_reduced_rk4(z, phi, kt, sub, q) for q in r2.tolist()]
-    else:
-        u = np.concatenate([_reduced_rk4(z, phi, kt, sub, r2[s:s + _BATCH_BLOCK])
-                            for s in range(0, r2.size, _BATCH_BLOCK)])
+    h, d, jumps = _widths_and_mismatch(mismatch.z, mismatch.phi)
+    kt, live, counts = float(kappa), h > 0, []
+    hh, pp = h[live] ** 2, (h[live] * d[live]) ** 2
+    for r in ratios.tolist():
+        k = 2.0 * kt * float(np.hypot(1.0, r))
+        need = float(np.ceil(np.sqrt(np.max(k * k * hh + pp, initial=0.0)) / _TAYLOR_PHASE))
+        if not need <= _MAX_CELL_STEPS:
+            raise PropagationError(f"signal/pump ratio {r!r} needs more Taylor steps per "
+                                   f"cell than the cap of {_MAX_CELL_STEPS}")
+        counts.append(max(1, int(need)))
+    r2, u = ratios * ratios, np.empty_like(ratios)
+    for n in set(counts):  # not np.unique, which faults in 1.6 MB of sort code
+        group = [i for i, c in enumerate(counts) if c == n]
+        runs = _taylor_cells(h, d, jumps, kt, n)
+        if len(group) < _BATCH_POINTS:
+            u[group] = [_reduced_taylor(runs, n, q) for q in r2[group].tolist()]
+        else:
+            for s in range(0, len(group), _BATCH_BLOCK):
+                block = group[s:s + _BATCH_BLOCK]
+                u[block] = _reduced_taylor(runs, n, r2[block])
     return np.divide(u, r2, out=np.zeros_like(r2), where=r2 != 0)

@@ -384,6 +384,17 @@ def test_bad_sweep_block_under_design_file_names_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_signal_ratio_past_the_step_cap_exits_2(tmp_path, capsys):
+    # a ratio whose Taylor step count passes the cap is refused by name before
+    # any ratio is integrated, so no signal.csv is written (it was NaN once)
+    cfg = write_config(tmp_path, {"design": {"grid_N": 1001},
+                                  "sweeps": {"signal": {"ratio_max": 1e200}}})
+    assert main(["sweep", "signal", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: signal/pump ratio ") and "than the cap of 1000" in err
+    assert not (tmp_path / "o" / "signal.csv").exists()
+
+
 @pytest.mark.parametrize("block,named", [
     ({"design": {"L_mm": float("nan")}}, "design.L_mm"),
     ({"design": {"L_mm": -1.0}}, "design.L_mm"),

@@ -8,7 +8,7 @@ import pytest
 from qasfg import experiments
 from qasfg.cli import main
 from qasfg.experiments import (
-    LAB_FRAME_COUPLING, bandwidth_sweep, efficiency_vs_length, fwhm_interval,
+    LAB_FRAME_COUPLING, SweepResult, bandwidth_sweep, efficiency_vs_length, fwhm_interval,
     robustness_period_sweep, robustness_pump_sweep, signal_intensity_sweep,
     simulate_design, tolerance_interval,
 )
@@ -229,6 +229,13 @@ def test_signal_sweep_rejects_bad_window_first(design_dk, monkeypatch, window, n
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=named):
             signal_intensity_sweep(design_dk, samples=5, **window)
+
+
+def test_sweep_result_rejects_non_finite_efficiency():
+    # every comparison with NaN is false, so the range check alone lets it by
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite efficiency"):
+            SweepResult("x", "1", np.array([0.1, 0.2]), np.array([0.5, bad]), {})
 
 
 def test_signal_sweep_single_sample_ignores_ratio_max(design_dk):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -340,8 +341,8 @@ def test_depleted_matches_solve_ivp(design_dk, ratio):
     a3 = a3 * np.exp(1j * phi)  # back to the lab frame
     traj = simulate_design(design_dk, depleted=True, signal_pump_ratio=ratio)
     assert abs(traj.efficiency - abs(a3[-1]) ** 2 / ratio ** 2) <= 1e-10
-    # the sweep's reduced real system, at the same 20000 steps
-    swept = depleted_efficiencies(design_dk.mismatch, kt, [ratio], steps=20000)[0]
+    # the sweep's reduced real system, at its own Taylor step count
+    swept = depleted_efficiencies(design_dk.mismatch, kt, [ratio])[0]
     assert abs(swept - abs(a3[-1]) ** 2 / ratio ** 2) <= 1e-10
     # 4000 cells of 5 steps each, recorded at every other node
     assert np.array_equal(traj.z, z[::2])
@@ -378,9 +379,10 @@ def test_recording_never_changes_the_fields(design_dk, depleted, monkeypatch):
 
 @pytest.mark.parametrize("design", ["design_dk", "design_k"])
 def test_batched_sweep_matches_simulate_depleted(design, request):
-    # a sweep integrates the reduced real system, alone on floats below
-    # _BATCH_POINTS ratios and together on arrays from there on: at 1 step per
-    # cell both are within 1e-12 of simulate_depleted's complex RK4
+    # a sweep integrates the reduced real system by Taylor steps, alone on
+    # floats below _BATCH_POINTS ratios and together on arrays from there on:
+    # both are within 1e-12 of simulate_depleted's complex RK4 at 1 step per
+    # cell (the sweep ignores its steps)
     design = request.getfixturevalue(design)
     coupling = LAB_FRAME_COUPLING * design.kappa
     for samples in (_BATCH_POINTS - 1, _BATCH_POINTS, 41):
@@ -399,37 +401,35 @@ def test_batched_efficiencies_batch_independent(design_dk, monkeypatch):
     # a ratio's batched result does not depend on its batch or its place in it
     m, coupling = design_dk.mismatch, LAB_FRAME_COUPLING * design_dk.kappa
     ratios = np.linspace(0.05, 1.2, 41)
-    batch = depleted_efficiencies(m, coupling, ratios, steps=4000)
-    assert np.array_equal(depleted_efficiencies(m, coupling, ratios[::-1], steps=4000),
-                          batch[::-1])
+    batch = depleted_efficiencies(m, coupling, ratios)
+    assert np.array_equal(depleted_efficiencies(m, coupling, ratios[::-1]), batch[::-1])
     monkeypatch.setattr(propagation, "_BATCH_POINTS", 1)
     for i in (0, 20, 40):
-        assert np.array_equal(depleted_efficiencies(m, coupling, ratios[i:i + 1], steps=4000),
+        assert np.array_equal(depleted_efficiencies(m, coupling, ratios[i:i + 1]),
                               batch[i:i + 1])
 
 
 @pytest.mark.parametrize("grid", ["uniform", "geometric"])
 def test_float_and_array_paths_are_bit_identical(design_dk, grid, monkeypatch):
-    # one ratio's floats and an array of ratios run the same _reduced_rk4, so
-    # a ratio's eta has the same bits on either path, in any order or block;
-    # on the 1 mm design at 1 step per cell, and on a geometric grid, whose
-    # widest cells need 10 steps, within 1e-12 of _rk4
+    # one ratio's floats and an array of ratios run the same _reduced_taylor,
+    # so a ratio's eta has the same bits on either path, in any order or block;
+    # on the 1 mm design, where every ratio takes 1 step per cell, and on a
+    # geometric grid, where one batch mixes 5, 6 and 10 steps per cell (3.0
+    # takes 10), within 1e-12 of _rk4 at 1 and 10 RK4 steps per cell
     m, coupling = design_dk.mismatch, LAB_FRAME_COUPLING * design_dk.kappa
-    steps = 4000
+    steps, ratios = 4000, np.linspace(0.05, 1.2, 7)
     if grid == "geometric":
         z = (np.geomspace(1.0, 1001.0, 2001) - 1.0) * (L / 1000.0)
         m = MismatchProfile(z=z, delta_k=np.interp(z, m.z, m.delta_k),
                             phi=np.interp(z, m.z, m.phi), kappa=np.nan, length=z[-1])
-        steps = 20000
-    ratios = np.linspace(0.05, 1.2, 7)
+        steps, ratios = 20000, np.append(ratios, 3.0)
     monkeypatch.setattr(propagation, "_BATCH_POINTS", 10 ** 6)
-    floats = depleted_efficiencies(m, coupling, ratios, steps=steps)
+    floats = depleted_efficiencies(m, coupling, ratios)
     monkeypatch.setattr(propagation, "_BATCH_POINTS", 1)
-    assert np.array_equal(depleted_efficiencies(m, coupling, ratios, steps=steps), floats)
-    assert np.array_equal(depleted_efficiencies(m, coupling, ratios[::-1], steps=steps),
-                          floats[::-1])
+    assert np.array_equal(depleted_efficiencies(m, coupling, ratios), floats)
+    assert np.array_equal(depleted_efficiencies(m, coupling, ratios[::-1]), floats[::-1])
     monkeypatch.setattr(propagation, "_BATCH_BLOCK", 3)
-    assert np.array_equal(depleted_efficiencies(m, coupling, ratios, steps=steps), floats)
+    assert np.array_equal(depleted_efficiencies(m, coupling, ratios), floats)
     for i in (0, 3, 6):
         alone = simulate_depleted(m, coupling, steps=steps,
                                   initial=FieldState(ratios[i], 0.0, 1.0))
@@ -456,15 +456,15 @@ def test_depleted_efficiencies_edge_cases(monkeypatch):
     profile = constant_mismatch(0.0, L, grid_n=11)
     for batch_points in (_BATCH_POINTS, 1):
         monkeypatch.setattr(propagation, "_BATCH_POINTS", batch_points)
-        eta = depleted_efficiencies(profile, 1.3 / L, [0.0, 0.5], steps=100)
+        eta = depleted_efficiencies(profile, 1.3 / L, [0.0, 0.5])
         assert eta[0] == 0.0 and 0.0 < eta[1] < 1.0
         with pytest.raises(PropagationError, match="non-finite"):
-            depleted_efficiencies(profile, 1.3 / L, [0.5, np.nan], steps=100)
+            depleted_efficiencies(profile, 1.3 / L, [0.5, np.nan])
     # a sweep longer than one batched pass is split without changing a bit
     ratios = np.linspace(0.1, 1.2, 7)
-    whole = depleted_efficiencies(profile, 1.3 / L, ratios, steps=100)
+    whole = depleted_efficiencies(profile, 1.3 / L, ratios)
     monkeypatch.setattr(propagation, "_BATCH_BLOCK", 3)
-    assert np.array_equal(depleted_efficiencies(profile, 1.3 / L, ratios, steps=100), whole)
+    assert np.array_equal(depleted_efficiencies(profile, 1.3 / L, ratios), whole)
 
 
 def test_depleted_efficiencies_zero_coupling_and_zero_ratio(design_dk, monkeypatch):
@@ -474,20 +474,18 @@ def test_depleted_efficiencies_zero_coupling_and_zero_ratio(design_dk, monkeypat
     ratios = np.linspace(0.0, 1.2, 13)
     for batch_points in (_BATCH_POINTS, 1, 10 ** 6):
         monkeypatch.setattr(propagation, "_BATCH_POINTS", batch_points)
-        assert np.array_equal(depleted_efficiencies(m, 0.0, ratios, steps=4000),
-                              np.zeros(13))
+        assert np.array_equal(depleted_efficiencies(m, 0.0, ratios), np.zeros(13))
     monkeypatch.setattr(propagation, "_BATCH_POINTS", 1)
     mixed = np.array([0.3, 0.0, 0.7])
-    eta = depleted_efficiencies(m, coupling, mixed, steps=4000)
+    eta = depleted_efficiencies(m, coupling, mixed)
     assert eta[1] == 0.0
-    assert np.array_equal(eta[[0, 2]], depleted_efficiencies(m, coupling, mixed[[0, 2]],
-                                                             steps=4000))
+    assert np.array_equal(eta[[0, 2]], depleted_efficiencies(m, coupling, mixed[[0, 2]]))
 
 
 def test_batched_kernel_skips_cells_without_a_finite_fold(monkeypatch):
-    # the reduced system cannot carry a zero-width cell's phase step, so such
-    # a sweep runs _rk4 per ratio at any size; a coupling so weak that its
-    # square underflows converts nothing, on floats and arrays alike
+    # a zero-width cell's phase step rotates the reduced state, on floats and
+    # arrays alike; a coupling so weak that its square underflows converts
+    # nothing
     z = np.array([0.0, 0.25, 0.5, 0.5, 1.0]) * L
     phi = 3000.0 * z
     profile = MismatchProfile(z=z, delta_k=np.full(5, 3000.0), phi=phi, kappa=np.nan,
@@ -496,10 +494,11 @@ def test_batched_kernel_skips_cells_without_a_finite_fold(monkeypatch):
     ratios = np.linspace(0.1, 1.2, 5)
     for prof, coupling in ((profile, 1.3 / L), (weak, 1e-306)):
         monkeypatch.setattr(propagation, "_BATCH_POINTS", 10 ** 6)
-        scalar = depleted_efficiencies(prof, coupling, ratios, steps=100)
+        scalar = depleted_efficiencies(prof, coupling, ratios)
         monkeypatch.setattr(propagation, "_BATCH_POINTS", 1)
-        assert np.array_equal(depleted_efficiencies(prof, coupling, ratios, steps=100), scalar)
+        assert np.array_equal(depleted_efficiencies(prof, coupling, ratios), scalar)
         assert np.all(np.isfinite(scalar))
+    assert np.all(depleted_efficiencies(weak, 1e-306, ratios) == 0.0)
 
 
 def test_zero_width_cell_is_the_identity():
@@ -544,9 +543,70 @@ def test_zero_width_cell_applies_its_phase_step():
             fields = simulate_undepleted(thin_profile, coupling, steps=100)
             assert np.abs(traj.a1 - fields.a1).max() <= 1e-11
             assert np.abs(traj.a3 - fields.a3).max() <= 1e-11
-            weak = depleted_efficiencies(profile, coupling, [1e-4], steps=100)[0]
+            weak = depleted_efficiencies(profile, coupling, [1e-4])[0]
             assert abs(weak - limit) <= 1e-7
     assert abs(eta - 0.0221) <= 1e-4
+
+
+def test_phase_steps_in_the_reduced_kernel_match_rk4():
+    # a zero-width cell's phase step rotates (g - d u, u'), as _rk4 rotates c3:
+    # the sweep agrees with simulate_depleted at converged steps within 1e-10,
+    # on the repeated-node profile and on random non-pi steps, some adjacent
+    z = np.array([0.0, 0.25, 0.5, 0.5, 1.0]) * L
+    profile = MismatchProfile(z=z, delta_k=np.full(5, 3000.0),
+                              phi=3000.0 * z + np.array([0.0, 0.0, 0.0, 1.0, 1.0]),
+                              kappa=np.nan, length=L)
+    rng = np.random.default_rng(7)
+    z = np.sort(np.concatenate([[0.0, L], rng.uniform(0.0, L, 13)]))
+    z = np.sort(np.concatenate([z, z[2:5], z[[9, 9]]]))
+    phi = 2000.0 * z + np.cumsum(np.append(0.0, np.where(np.diff(z) == 0,
+                                                          rng.uniform(-3.0, 3.0, z.size - 1),
+                                                          0.0)))
+    steps = MismatchProfile(z=z, delta_k=np.full(z.size, 2000.0), phi=phi, kappa=np.nan,
+                            length=L)
+    assert np.sum(np.diff(z) == 0) == 5
+    for prof, coupling in ((profile, 1300.0), (profile, 1.57 / L), (steps, 2000.0)):
+        ratios = np.array([1e-4, 0.5, 1.0])
+        eta = depleted_efficiencies(prof, coupling, ratios)
+        for r, got in zip(ratios, eta):
+            ref = simulate_depleted(prof, coupling, steps=40000,
+                                    initial=FieldState(r, 0.0, 1.0)).efficiency
+            assert abs(got - ref) <= 1e-10
+
+
+def test_sweep_ignores_steps(design_dk):
+    # the Taylor step count comes from the profile, kappa and each ratio alone
+    m, coupling = design_dk.mismatch, LAB_FRAME_COUPLING * design_dk.kappa
+    ratios = np.linspace(0.01, 1.2, 9)
+    assert np.array_equal(depleted_efficiencies(m, coupling, ratios, steps=1),
+                          depleted_efficiencies(m, coupling, ratios))
+    one = signal_intensity_sweep(design_dk, samples=5, steps=1).efficiencies
+    assert np.array_equal(one, signal_intensity_sweep(design_dk, samples=5).efficiencies)
+
+
+def test_step_count_sees_the_signal(design_dk, monkeypatch):
+    # at r = 1e3 a cell rotates about 1.9 rad: 188 Taylor steps per cell agree
+    # with 320000 RK4 steps, and with the sweep at half the step phase
+    m, coupling = design_dk.mismatch, LAB_FRAME_COUPLING * design_dk.kappa
+    eta = depleted_efficiencies(m, coupling, [1e3])[0]
+    ref = simulate_depleted(m, coupling, steps=320000,
+                            initial=FieldState(1e3, 0.0, 1.0)).efficiency
+    assert abs(eta - ref) <= 1e-3 * ref
+    monkeypatch.setattr(propagation, "_TAYLOR_PHASE", propagation._TAYLOR_PHASE / 2)
+    assert abs(depleted_efficiencies(m, coupling, [1e3])[0] - eta) <= 1e-12
+
+
+@pytest.mark.parametrize("ratio", [1e4, 1e200])
+def test_step_cap_names_the_ratio(design_dk, monkeypatch, ratio):
+    # a ratio needing more than _MAX_CELL_STEPS steps per cell is refused
+    # before any ratio is integrated
+    monkeypatch.setattr(propagation, "_reduced_taylor", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagationError, match=re.escape(f"ratio {ratio!r} needs")) as err:
+            depleted_efficiencies(design_dk.mismatch, LAB_FRAME_COUPLING * design_dk.kappa,
+                                  [0.5, ratio])
+    assert str(propagation._MAX_CELL_STEPS) in str(err.value)
 
 
 def test_trajectory_csv(tmp_path, design_dk):
